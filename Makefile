@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzChurnSpecParse -fuzztime 30s ./internal/dynamic
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 30s ./internal/transport
 	$(GO) test -fuzz FuzzSchedulerSpecParse -fuzztime 30s ./internal/lid
+	$(GO) test -fuzz FuzzEventQueueOrder -fuzztime 30s ./internal/simnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -73,15 +74,16 @@ bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -phase after -merge -workers-sweep 1,2,4
 
 # Benchmark regression gate: fresh -quick measurements must stay within
-# tolerance of the committed PR8 baseline (allocation figures gated,
-# workload metrics exact, wall clock report-only; rows new in PR10 are
-# notes, not failures), and — the negative controls — must FAIL against
-# a synthetically regressed fixture and against a baseline that mixes
-# workers=0 rows with explicit worker counts in one family (the PR 10
-# matchBaseline fallback bug), so a broken gate cannot pass silently.
+# tolerance of the committed PR10 baseline, the newest point of the
+# trajectory (allocation figures gated, workload metrics exact, wall
+# clock report-only; rows without a baseline are notes, not failures),
+# and — the negative controls — must FAIL against a synthetically
+# regressed fixture and against a baseline that mixes workers=0 rows
+# with explicit worker counts in one family (the PR 10 matchBaseline
+# fallback bug), so a broken gate cannot pass silently.
 bench-check:
 	$(GO) test -count=1 ./cmd/benchjson
-	$(GO) run ./cmd/benchjson -quick -compare BENCH_PR8.json
+	$(GO) run ./cmd/benchjson -quick -compare BENCH_PR10.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/regressed_baseline.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/mixed_workers_baseline.json
 

@@ -47,7 +47,6 @@ package dlid
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -260,11 +259,10 @@ func (n *Node) wake(p int32) {
 // (binary search in the sorted adjacency, then the flat position
 // table). Reports false if v is not a neighbor.
 func (n *Node) posOf(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
+	if i, ok := graph.SearchNeighbor(n.neighbors, v); ok {
+		return n.pos[i], true
 	}
-	return n.pos[i], true
+	return 0, false
 }
 
 // neighborView returns the state record for neighbor v; it panics if v

@@ -105,12 +105,23 @@ func (g *Graph) NeighborIndex(u, v NodeID) (int, bool) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return 0, false
 	}
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	if i < len(a) && a[i] == v {
-		return i, true
+	return SearchNeighbor(g.adj[u], v)
+}
+
+// SearchNeighbor binary-searches the ascending list a for v, returning
+// v's index and true, or the insertion point and false. It is the one
+// neighbor search behind NeighborIndex and the protocol nodes'
+// weight-list lookups, and small enough to inline into them.
+func SearchNeighbor(a []NodeID, v NodeID) (int, bool) {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); a[h] < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
-	return 0, false
+	return lo, lo < len(a) && a[lo] == v
 }
 
 // IncidentEdges returns the EdgeIDs of the edges incident to u, aligned

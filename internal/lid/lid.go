@@ -25,7 +25,6 @@ package lid
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -110,19 +109,8 @@ func NewNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID) *Node {
 // protocols (the distributed coverage-first variant) use this to run
 // LID on a residual instance.
 func NewNodeRestricted(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, quota int, exclude map[graph.NodeID]bool) *Node {
-	order := tbl.SortedNeighbors(s, id)
-	if quota < 0 {
-		panic(fmt.Sprintf("lid: negative quota for node %d", id))
-	}
-	n := &Node{
-		id:         id,
-		quota:      quota,
-		order:      order,
-		neighbors:  s.Graph().Neighbors(id),
-		pos:        tbl.WeightListPos(s, id),
-		state:      make([]nstate, len(order)),
-		unresolved: len(order),
-	}
+	n := &Node{}
+	n.init(s, tbl, id, quota, make([]nstate, s.Graph().Degree(id)), nil)
 	for nb := range exclude {
 		pos, ok := n.orderPos(nb)
 		if !ok {
@@ -136,22 +124,58 @@ func NewNodeRestricted(s *pref.System, tbl *satisfaction.Table, id graph.NodeID,
 	return n
 }
 
+// init fills n for node id over caller-provided storage: state has one
+// zeroed entry per neighbor, locked is empty (any capacity).
+func (n *Node) init(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, quota int, state []nstate, locked []graph.NodeID) {
+	if quota < 0 {
+		panic(fmt.Sprintf("lid: negative quota for node %d", id))
+	}
+	order := tbl.SortedNeighbors(s, id)
+	*n = Node{
+		id:         id,
+		quota:      quota,
+		order:      order,
+		neighbors:  s.Graph().Neighbors(id),
+		pos:        tbl.WeightListPos(s, id),
+		state:      state,
+		locked:     locked,
+		unresolved: len(order),
+	}
+}
+
 // orderPos locates v's position in the weight list through the shared
 // CSR index: binary search in the sorted adjacency, then the flat
 // position table. Reports false if v is not a neighbor.
 func (n *Node) orderPos(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
+	if i, ok := graph.SearchNeighbor(n.neighbors, v); ok {
+		return n.pos[i], true
 	}
-	return n.pos[i], true
+	return 0, false
 }
 
-// NewNodes builds one Node per graph node.
+// NewNodes builds one Node per graph node. The nodes, their
+// per-neighbor states and their locked sets are carved from three flat
+// arrays (locked gets capacity min(quota, degree), which it never
+// outgrows), so setup costs a constant number of allocations at any n.
 func NewNodes(s *pref.System, tbl *satisfaction.Table) []*Node {
-	nodes := make([]*Node, s.Graph().NumNodes())
+	g := s.Graph()
+	n := g.NumNodes()
+	lockCap := func(id int) int { return min(max(s.Quota(id), 0), g.Degree(id)) }
+	totalLocked := 0
+	for id := 0; id < n; id++ {
+		totalLocked += lockCap(id)
+	}
+	flat := make([]Node, n)
+	states := make([]nstate, 2*g.NumEdges())
+	locked := make([]graph.NodeID, totalLocked)
+	nodes := make([]*Node, n)
+	soff, loff := 0, 0
 	for id := range nodes {
-		nodes[id] = NewNode(s, tbl, id)
+		deg, c := g.Degree(id), lockCap(id)
+		flat[id].init(s, tbl, id, s.Quota(id), states[soff:soff+deg:soff+deg], locked[loff:loff:loff+c])
+		soff += deg
+		loff += c
+		nodes[id] = &flat[id]
 	}
 	return nodes
 }
@@ -370,9 +394,11 @@ func (n *Node) Locked() []graph.NodeID { return n.locked }
 
 // BuildMatching assembles the global matching from all nodes' locked
 // sets, verifying that locks are symmetric — i locked j exactly when j
-// locked i, the paper's "this will happen in both endpoints".
+// locked i, the paper's "this will happen in both endpoints". The
+// per-node connection slices come from one flat array sized by the
+// locked sets, so assembly allocates a constant number of times.
 func BuildMatching(nodes []*Node) (*matching.Matching, error) {
-	m := matching.New(len(nodes))
+	m := matching.NewReserved(len(nodes), func(i int) int { return len(nodes[i].locked) })
 	for _, nd := range nodes {
 		for _, v := range nd.locked {
 			if nd.id < v {

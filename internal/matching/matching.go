@@ -112,28 +112,35 @@ func (m *Matching) Add(u, v graph.NodeID) {
 	m.conns[v] = append(m.conns[v], u)
 }
 
+// NewReserved returns an empty sparse matching over n nodes whose
+// connection slices are carved from one flat array, capOf(i) slots for
+// node i: Adds within those bounds never allocate, and an Add beyond a
+// bound reallocates only that node's slice. Protocol assemblies that
+// already know every node's final degree use it.
+func NewReserved(n int, capOf func(i int) int) *Matching {
+	m := New(n)
+	m.carve(capOf)
+	return m
+}
+
 // preallocate sizes every connection slice to its feasibility bound
-// min(quota, degree) out of one flat backing array, so subsequent Adds
-// never reallocate. Dense mode only; callers must hold the system the
-// matching will be filled under.
+// min(quota, degree), so subsequent Adds never reallocate. Dense mode
+// only; callers must hold the system the matching will be filled under.
 func (m *Matching) preallocate(s *pref.System) {
+	m.carve(func(i int) int { return min(s.Quota(i), m.g.Degree(i)) })
+}
+
+// carve points conns[i] at its own capOf(i)-slot region of one flat
+// backing array.
+func (m *Matching) carve(capOf func(i int) int) {
 	total := 0
 	for i := 0; i < m.n; i++ {
-		c := s.Quota(i)
-		if d := m.g.Degree(i); d < c {
-			c = d
-		}
-		total += c
+		total += capOf(i)
 	}
 	buf := make([]graph.NodeID, total)
-	off := 0
 	for i := 0; i < m.n; i++ {
-		c := s.Quota(i)
-		if d := m.g.Degree(i); d < c {
-			c = d
-		}
-		m.conns[i] = buf[off:off : off+c]
-		off += c
+		c := capOf(i)
+		m.conns[i], buf = buf[:0:c], buf[c:]
 	}
 }
 

@@ -14,11 +14,11 @@
 package satisfaction
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
 	"slices"
-	"sort"
 	"sync"
 
 	"overlaymatch/internal/graph"
@@ -384,8 +384,8 @@ func (t *Table) WeightListPos(s *pref.System, u graph.NodeID) []int32 {
 // fan out over the table's worker count: every node's output region
 // (its CSR slice of buf/sortedInc/posInSorted and its t.sorted entry)
 // is disjoint from every other node's, each node's sort reads only the
-// immutable keys, and per-worker `perm` scratch lives at the top of
-// the chunk — so the arrays are bit-identical for any worker count,
+// immutable order keys, and per-worker `perm` scratch lives at the top
+// of the chunk — so the arrays are bit-identical for any worker count,
 // and workers <= 1 is the legacy serial loop verbatim.
 func (t *Table) buildSorted(s *pref.System) {
 	t.sortedOnce.Do(func() {
@@ -406,8 +406,11 @@ func (t *Table) buildSorted(s *pref.System) {
 				for i := range p {
 					p[i] = int32(i)
 				}
-				sort.Slice(p, func(a, b int) bool {
-					return t.keys[incident[p[a]]].Heavier(t.keys[incident[p[b]]])
+				// (OrderKeys()[id], id) ascending is the Heavier order
+				// (see orderKey); SortFunc needs no per-call swapper.
+				slices.SortFunc(p, func(a, b int32) int {
+					x, y := incident[a], incident[b]
+					return cmp.Or(cmp.Compare(t.ord[x], t.ord[y]), cmp.Compare(x, y))
 				})
 				list := buf[off : off+len(neigh)]
 				for k, orig := range p {

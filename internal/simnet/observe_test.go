@@ -43,6 +43,27 @@ func sizedHandlers(n int) []Handler {
 	return hs
 }
 
+// Probes read SentTotals mid-run, while the Runner's tallies are not
+// yet flushed into its registry: the totals must include them. Every
+// send of the sized star happens in Init, so each probe sees them all.
+func TestRunnerSentTotalsMidRun(t *testing.T) {
+	const n = 5
+	var r *Runner
+	probes := 0
+	r = NewRunner(n, Options{Seed: 1, ProbeInterval: 0.5, Probe: func(at float64) {
+		probes++
+		if msgs, b := r.SentTotals(); msgs != n-1 || b != 16*(n-1) {
+			t.Fatalf("probe at %v: SentTotals = (%d, %d), want (%d, %d)", at, msgs, b, n-1, 16*(n-1))
+		}
+	}})
+	if _, err := r.Run(sizedHandlers(n)); err != nil {
+		t.Fatal(err)
+	}
+	if probes < 2 {
+		t.Fatalf("%d probes ran", probes)
+	}
+}
+
 func TestRunnerObserverRecordsCausality(t *testing.T) {
 	const n = 4
 	rec := obs.NewRecorder(n)

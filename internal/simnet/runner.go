@@ -127,68 +127,25 @@ type Runner struct {
 	halted  []bool
 	ins     *instruments
 	running bool
+
+	// The Runner is single-threaded, so its per-message tallies are
+	// plain fields rather than the registry's atomics. flush moves them
+	// into ins before every Stats snapshot and before the merge into
+	// Options.Metrics; GoRunner counts into ins directly.
+	byNode   []nodeTally
+	kinds    []kindTally // one per message kind seen; a handful per run
+	maxDepth int
+	lastTime float64
 }
 
-type event struct {
-	time     float64
-	seq      int // FIFO tie-break: lower seq delivered first at equal times
-	from, to int
-	msg      Message
-	lam      uint64 // sender's Lamport stamp (telemetry only; 0 when off)
-	timer    bool   // local timer delivery, not a network message
-}
+// nodeTally is one node's unflushed sent and received counts, side by
+// side so a delivery and the sends it triggers touch one cache line.
+type nodeTally struct{ sent, recv int64 }
 
-// eventQueue is a binary min-heap ordered by (time, seq). It is
-// hand-rolled rather than container/heap because the interface{}
-// boxing there costs one allocation per message — measurably the
-// hottest path of large event-driven runs.
-type eventQueue []event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release references for GC
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
+// kindTally is the unflushed send count and payload bytes of one kind.
+type kindTally struct {
+	kind        string
+	msgs, bytes int64
 }
 
 // NewRunner returns a Runner for n nodes.
@@ -205,17 +162,91 @@ func NewRunner(n int, opts Options) *Runner {
 		src:    rng.New(opts.Seed),
 		halted: make([]bool, n),
 		ins:    newInstruments(n),
+		byNode: make([]nodeTally, n),
 	}
 }
 
 // Metrics returns the run's private instrument registry — render or
-// merge it after Run for per-run observability.
+// merge it after Run for per-run observability. The message counters
+// reach it when Run returns.
 func (r *Runner) Metrics() *metrics.Registry { return r.ins.reg }
 
 // SentTotals returns the cumulative (messages, bytes) send counters —
 // safe to call from an Options.Probe callback to attribute traffic to
-// convergence phases.
-func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sentTotals() }
+// convergence phases, since it includes the unflushed tallies.
+func (r *Runner) SentTotals() (msgs, bytes int64) {
+	msgs, bytes = r.ins.sentTotals()
+	for _, c := range r.byNode {
+		msgs += c.sent
+	}
+	for _, k := range r.kinds {
+		bytes += k.bytes
+	}
+	return msgs, bytes
+}
+
+// countSend tallies one network send by node and kind.
+func (r *Runner) countSend(node int, kind string, size int) {
+	r.byNode[node].sent++
+	var k *kindTally
+	for i := range r.kinds {
+		if r.kinds[i].kind == kind {
+			k = &r.kinds[i]
+			break
+		}
+	}
+	if k == nil {
+		r.kinds = append(r.kinds, kindTally{kind: kind})
+		k = &r.kinds[len(r.kinds)-1]
+	}
+	k.msgs++
+	if size > 0 {
+		k.bytes += int64(size)
+	}
+}
+
+// push enqueues e and tracks the queue's high-water depth.
+func (r *Runner) push(e event) {
+	r.queue.push(e)
+	r.maxDepth = max(r.maxDepth, r.queue.Len())
+}
+
+// flush moves the tallies into the registry and zeroes them, so it may
+// run any number of times.
+func (r *Runner) flush() {
+	ins := r.ins
+	var delivered int64
+	for i, c := range r.byNode {
+		if c.sent != 0 {
+			ins.sentByNode.Add(i, c.sent)
+		}
+		if c.recv != 0 {
+			ins.receivedByNode.Add(i, c.recv)
+			delivered += c.recv
+		}
+		r.byNode[i] = nodeTally{}
+	}
+	ins.deliveries.Add(delivered)
+	for i := range r.kinds {
+		k := &r.kinds[i]
+		if k.msgs > 0 {
+			ins.sent.With(k.kind).Add(k.msgs)
+		}
+		if k.bytes > 0 {
+			ins.sentBytes.Add(k.bytes)
+			ins.bytesByKind.With(k.kind).Add(k.bytes)
+		}
+		k.msgs, k.bytes = 0, 0
+	}
+	ins.queueDepthMax.SetMax(float64(r.maxDepth))
+	ins.finalTime.SetMax(r.lastTime)
+}
+
+// stats flushes the tallies and returns the Stats snapshot.
+func (r *Runner) stats() Stats {
+	r.flush()
+	return r.ins.stats()
+}
 
 // runnerCtx implements Context for one delivery.
 type runnerCtx struct {
@@ -238,7 +269,7 @@ func (c *runnerCtx) Send(to int, msg Message) {
 		panic(fmt.Sprintf("simnet: send to %d outside [0,%d)", to, r.n))
 	}
 	kind := KindOf(msg)
-	r.ins.countSend(c.id, kind, SizeOf(msg))
+	r.countSend(c.id, kind, SizeOf(msg))
 	// The send is recorded (and the clock ticked) before the loss
 	// model, matching the sent counters: a dropped message was still
 	// sent, and its stamp documents the causal gap.
@@ -274,9 +305,8 @@ func (c *runnerCtx) Send(to int, msg Message) {
 		}
 		r.ins.sendLatency.Observe(lat)
 		r.seq++
-		r.queue.push(event{time: c.time + lat, seq: r.seq, from: c.id, to: to, msg: msg, lam: lam})
+		r.push(event{time: c.time + lat, seq: r.seq, from: c.id, to: to, msg: msg, lam: lam})
 	}
-	r.ins.queueDepthMax.SetMax(float64(len(r.queue)))
 }
 
 // SetTimer implements TimerSetter: deliver msg back to this node after
@@ -288,8 +318,7 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 	}
 	r := c.r
 	r.seq++
-	r.queue.push(event{time: c.time + delay, seq: r.seq, from: c.id, to: c.id, msg: msg, timer: true})
-	r.ins.queueDepthMax.SetMax(float64(len(r.queue)))
+	r.push(event{time: c.time + delay, seq: r.seq, from: c.id, to: c.id, msg: msg, timer: true})
 }
 
 // Run executes the protocol: Init on every node (in ID order, at time
@@ -299,14 +328,21 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 // (which for a correct protocol means a node is waiting forever — the
 // situation Lemma 5 excludes for LID).
 func (r *Runner) Run(handlers []Handler) (Stats, error) {
-	defer r.ins.mergeInto(r.opts.Metrics)
+	defer func() {
+		r.flush()
+		r.ins.mergeInto(r.opts.Metrics)
+	}()
 	if len(handlers) != r.n {
-		return r.ins.stats(), fmt.Errorf("simnet: %d handlers for %d nodes", len(handlers), r.n)
+		return r.stats(), fmt.Errorf("simnet: %d handlers for %d nodes", len(handlers), r.n)
 	}
 	if r.running {
-		return r.ins.stats(), fmt.Errorf("simnet: Runner is single-use")
+		return r.stats(), fmt.Errorf("simnet: Runner is single-use")
 	}
 	r.running = true
+	// ctx serves every Init and every delivery: Contexts are documented
+	// as only valid for the duration of the handler call, and reusing
+	// the one allocation removes per-node and per-delivery garbage.
+	ctx := &runnerCtx{r: r}
 	// admit releases one admitter batch at virtual time t. Batches are
 	// initialized in the returned order; double or out-of-range release
 	// is an admitter bug and fails the run.
@@ -322,7 +358,8 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 				return 0, fmt.Errorf("simnet: admitter released node %d twice", id)
 			}
 			inited[id] = true
-			handlers[id].Init(&runnerCtx{r: r, id: id, time: t})
+			ctx.id, ctx.time = id, t
+			handlers[id].Init(ctx)
 		}
 		if len(batch) > 0 {
 			batches.Inc()
@@ -333,19 +370,15 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 		inited = make([]bool, r.n)
 		batches = r.ins.reg.Counter("simnet_admission_batches_total", "admission batches released by Options.Admitter")
 		if _, err := admit(0); err != nil {
-			return r.ins.stats(), err
+			return r.stats(), err
 		}
 	} else {
 		for id := 0; id < r.n; id++ {
-			handlers[id].Init(&runnerCtx{r: r, id: id, time: 0})
+			ctx.id, ctx.time = id, 0
+			handlers[id].Init(ctx)
 		}
 	}
-	// ctx is reused across deliveries: Contexts are documented as only
-	// valid for the duration of the handler call, and reusing the one
-	// allocation removes per-delivery garbage. delivered mirrors the
-	// delivery counters locally to keep the MaxDeliveries guard off
-	// the atomic read path.
-	ctx := &runnerCtx{r: r}
+	// delivered counts timers too: it is the MaxDeliveries budget.
 	delivered := 0
 	probing := r.opts.Probe != nil && r.opts.ProbeInterval > 0
 	// Probe times are tick-aligned — float64(tick) * interval — instead
@@ -356,12 +389,11 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	// accumulated error.
 	probeTick := 0
 	nextProbe := func() float64 { return float64(probeTick) * r.opts.ProbeInterval }
-	lastTime := 0.0
 	for {
-		for len(r.queue) > 0 {
+		for r.queue.Len() > 0 {
 			e := r.queue.pop()
 			if r.opts.MaxDeliveries > 0 && delivered >= r.opts.MaxDeliveries {
-				return r.ins.stats(), fmt.Errorf("simnet: exceeded %d deliveries", r.opts.MaxDeliveries)
+				return r.stats(), fmt.Errorf("simnet: exceeded %d deliveries", r.opts.MaxDeliveries)
 			}
 			delivered++
 			if probing {
@@ -376,14 +408,12 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 			if e.timer {
 				r.ins.timersFired.Inc()
 			} else {
-				r.ins.deliveries.Inc()
-				r.ins.receivedByNode.Inc(e.to)
+				r.byNode[e.to].recv++
 				if r.opts.Obs != nil {
 					r.opts.Obs.Deliver(e.to, e.from, KindOf(e.msg), e.time, e.lam)
 				}
 			}
-			r.ins.finalTime.SetMax(e.time)
-			lastTime = e.time
+			r.lastTime = e.time
 			if r.opts.Trace != nil {
 				r.opts.Trace(TraceEntry{Time: e.time, From: e.from, To: e.to, Msg: e.msg})
 			}
@@ -396,9 +426,9 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 		// Queue drained: release the next admission batch at the time
 		// of the last delivery (keeping virtual time monotone). The run
 		// ends when the admitter is exhausted too.
-		k, err := admit(lastTime)
+		k, err := admit(r.lastTime)
 		if err != nil {
-			return r.ins.stats(), err
+			return r.stats(), err
 		}
 		if k == 0 {
 			break
@@ -412,11 +442,11 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	if !r.opts.Quiesce {
 		for id, h := range r.halted {
 			if !h {
-				return r.ins.stats(), fmt.Errorf("simnet: node %d never halted (deadlock)", id)
+				return r.stats(), fmt.Errorf("simnet: node %d never halted (deadlock)", id)
 			}
 		}
 	}
-	return r.ins.stats(), nil
+	return r.stats(), nil
 }
 
 // Schedule enqueues an external command to be delivered to node `to`
@@ -434,6 +464,5 @@ func (r *Runner) Schedule(at float64, to int, msg Message) {
 		panic("simnet: Schedule with negative time")
 	}
 	r.seq++
-	r.queue.push(event{time: at, seq: r.seq, from: to, to: to, msg: msg, timer: true})
-	r.ins.queueDepthMax.SetMax(float64(len(r.queue)))
+	r.push(event{time: at, seq: r.seq, from: to, to: to, msg: msg, timer: true})
 }

@@ -2,7 +2,6 @@ package tournament
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -65,11 +64,10 @@ func newBPNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID) *bpNode
 }
 
 func (n *bpNode) orderPos(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
+	if i, ok := graph.SearchNeighbor(n.neighbors, v); ok {
+		return n.pos[i], true
 	}
-	return n.pos[i], true
+	return 0, false
 }
 
 // Init implements simnet.Handler: the whole algorithm.

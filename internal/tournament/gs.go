@@ -2,7 +2,6 @@ package tournament
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -132,11 +131,10 @@ func newGSNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID) *gsNode
 }
 
 func (n *gsNode) orderPos(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
+	if i, ok := graph.SearchNeighbor(n.neighbors, v); ok {
+		return n.pos[i], true
 	}
-	return n.pos[i], true
+	return 0, false
 }
 
 // Init implements simnet.Handler.
