@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
+.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check perfbench-smoke vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
 
 all: build vet test
 
@@ -13,9 +13,9 @@ all: build vet test
 # experiment-registry coverage sweep, a short fuzz pass over the
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
-# the benchmark regression gate, and the real-socket loopback
-# conformance run.
-check: build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check
+# the benchmark regression gate, the real-socket loopback conformance
+# run, and the benchmark module's smoke test.
+check: build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check perfbench-smoke
 
 # Vet first so a broken build fails fast instead of surfacing as a
 # confusing mid-run race failure. The dense-core packages (graph, pref,
@@ -103,6 +103,14 @@ golden-check:
 # the wire layer honest against the simulator the experiments certify.
 loopback-check:
 	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestClusterCoalescing' ./internal/transport
+
+# perfbench/ is a nested module (it pins the root through a replace
+# directive), so the root `go build ./...` and `go test ./...` never
+# compile it: a break in the simnet/lid/dynamic/transport API it drives
+# would surface only when the benchmark pipeline runs. Vet it and run
+# its smoke test (every workload at a small size) here instead.
+perfbench-smoke:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # Regenerate the validation suite (EXPERIMENTS.md's source of truth).
 experiments:

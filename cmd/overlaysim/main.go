@@ -34,7 +34,6 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
-	"overlaymatch/internal/trace"
 	"overlaymatch/internal/transport"
 )
 
@@ -55,8 +54,6 @@ func main() {
 		jitter   = flag.Float64("jitter", 3, "latency jitter scale (event runtime)")
 		workload = flag.String("workload", "", "load a frozen workload JSON (see graphgen -format workload) instead of generating")
 		dotOut   = flag.String("dot", "", "write the final overlay as Graphviz DOT to this file")
-		traceOut = flag.String("tracelog", "", "write the message trace to this file (event or goroutine runtime)")
-		traceFmt = flag.String("traceformat", "log", "trace file format: log | ndjson")
 		spansOut = flag.String("trace-spans", "", "write the causal span trace (Lamport clocks, protocol spans) to this file")
 		spansFmt = flag.String("trace-spans-format", "ndjson", "span trace format: ndjson | chrome | tree")
 		probeInt = flag.Float64("probe-interval", 0, "virtual-time spacing of per-round stability probes (0 = off; event runtime only)")
@@ -115,10 +112,10 @@ func main() {
 		phiThreshold: *phiThr,
 		detector:     *detStr,
 		faults:       *faultStr,
-		tracelog:     *traceOut,
 		traceSpans:   *spansOut,
 		spansFormat:  *spansFmt,
-		traceFormat:  *traceFmt,
+		dot:          *dotOut,
+		metrics:      *metOut,
 		metricsFmt:   *metFmt,
 		probeInt:     *probeInt,
 		churn:        *churnStr,
@@ -134,7 +131,7 @@ func main() {
 		fseed = *seed ^ 0x5fa715ca11edc0de
 	}
 	opts := reportOpts{seed: *seed, runtime: *runtime_, jitter: *jitter,
-		verbose: *verbose, dotPath: *dotOut, tracePath: *traceOut, traceFormat: *traceFmt,
+		verbose: *verbose, dotPath: *dotOut,
 		spansPath: *spansOut, spansFormat: *spansFmt, probeInterval: *probeInt,
 		showMetrics: *metOut, metricsFormat: *metFmt,
 		faults: cfg.spec, faultsSeed: fseed, reliable: *reliab, rto: *rto,
@@ -222,8 +219,6 @@ type reportOpts struct {
 	jitter        float64
 	verbose       bool
 	dotPath       string
-	tracePath     string
-	traceFormat   string // log | ndjson
 	spansPath     string
 	spansFormat   string  // ndjson | chrome | tree
 	probeInterval float64 // 0 = probing off
@@ -318,11 +313,6 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 	seed, runtime_, jitter, verbose := opts.seed, opts.runtime, opts.jitter, opts.verbose
 	g := sys.Graph()
 	tbl := satisfaction.NewTableParallel(sys, opts.workers)
-	var collector trace.Collector
-	var traceFn func(simnet.TraceEntry)
-	if opts.tracePath != "" {
-		traceFn = collector.Record
-	}
 	var reg *metrics.Registry
 	if opts.showMetrics {
 		reg = metrics.New()
@@ -396,7 +386,6 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 		ropts := simnet.Options{
 			Seed:    seed,
 			Latency: latency(jitter),
-			Trace:   traceFn,
 			Metrics: reg,
 			Policy:  policy,
 			Obs:     rec,
@@ -464,9 +453,6 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 		if opts.reliable || opts.det.Enabled() {
 			nodes := lid.NewNodes(sys, tbl)
 			runner := simnet.NewGoRunner(g.NumNodes(), 2*time.Minute)
-			if traceFn != nil {
-				runner.SetTrace(traceFn)
-			}
 			if reg != nil {
 				runner.SetMetricsSink(reg)
 			}
@@ -488,7 +474,6 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 		} else {
 			res, err := lid.RunGoroutinesOpts(sys, tbl, lid.GoOptions{
 				Timeout: 2 * time.Minute,
-				Trace:   traceFn,
 				Metrics: reg,
 				Policy:  policy,
 				Obs:     rec,
@@ -558,21 +543,9 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 
 	if opts.dotPath != "" {
 		writeFileWith(opts.dotPath, func(w io.Writer) error {
-			return trace.WriteDOT(w, sys, result)
+			return writeDOT(w, sys, result)
 		})
 		fmt.Printf("wrote Graphviz overlay to %s\n", opts.dotPath)
-	}
-	if opts.tracePath != "" {
-		if runtime_ == "centralized" {
-			fail("-tracelog requires a distributed runtime (event or goroutine)")
-		}
-		write := collector.WriteLog
-		if opts.traceFormat == "ndjson" {
-			write = collector.WriteNDJSON
-		}
-		writeFileWith(opts.tracePath, write)
-		fmt.Printf("wrote message trace (%s, %d deliveries) to %s\n",
-			opts.traceFormat, collector.Len(), opts.tracePath)
 	}
 	if opts.spansPath != "" {
 		writeFileWith(opts.spansPath, func(w io.Writer) error {

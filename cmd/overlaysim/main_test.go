@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,9 +58,9 @@ func TestRunAndReportArtifacts(t *testing.T) {
 	s := testSystem(t)
 	dir := t.TempDir()
 	dot := filepath.Join(dir, "overlay.dot")
-	tl := filepath.Join(dir, "trace.log")
+	spans := filepath.Join(dir, "spans.tree")
 	runAndReport(s, reportOpts{seed: 2, runtime: "event", jitter: 1,
-		verbose: true, dotPath: dot, tracePath: tl})
+		verbose: true, dotPath: dot, spansPath: spans, spansFormat: "tree"})
 	dotData, err := os.ReadFile(dot)
 	if err != nil {
 		t.Fatal(err)
@@ -67,43 +68,63 @@ func TestRunAndReportArtifacts(t *testing.T) {
 	if !bytes.HasPrefix(dotData, []byte("graph overlay {")) {
 		t.Fatal("dot output malformed")
 	}
-	tlData, err := os.ReadFile(tl)
+	spanData, err := os.ReadFile(spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(tlData, []byte("PROP")) {
-		t.Fatal("trace log missing PROP lines")
+	if !bytes.Contains(spanData, []byte("PROP")) {
+		t.Fatal("span tree missing PROP records")
 	}
 }
 
-// TestTraceLogOnGoroutineRuntime is the regression test for the old
-// hard-fail: -tracelog used to reject -runtime goroutine even though
-// the collector is thread-safe.
+// spanRecords runs the report with -trace-spans in NDJSON and returns
+// the decoded records.
+func spanRecords(t *testing.T, opts reportOpts) []map[string]any {
+	t.Helper()
+	opts.spansPath = filepath.Join(t.TempDir(), "spans.ndjson")
+	opts.spansFormat = "ndjson"
+	runAndReport(testSystem(t), opts)
+	data, err := os.ReadFile(opts.spansPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []map[string]any
+	for i, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("record %d invalid: %v (%s)", i, err, line)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// TestTraceLogOnGoroutineRuntime: the span trace log (-trace-spans)
+// must capture the PROP deliveries of a -runtime goroutine run too,
+// not only the event runtime's.
 func TestTraceLogOnGoroutineRuntime(t *testing.T) {
-	s := testSystem(t)
-	tl := filepath.Join(t.TempDir(), "trace.log")
-	runAndReport(s, reportOpts{seed: 4, runtime: "goroutine",
-		tracePath: tl, traceFormat: "log"})
-	data, err := os.ReadFile(tl)
-	if err != nil {
-		t.Fatal(err)
+	props := 0
+	for _, rec := range spanRecords(t, reportOpts{seed: 4, runtime: "goroutine"}) {
+		if rec["type"] == "deliver" && rec["kind"] == "PROP" {
+			props++
+		}
 	}
-	if !bytes.Contains(data, []byte("PROP")) {
-		t.Fatal("goroutine trace log missing PROP lines")
+	if props == 0 {
+		t.Fatal("goroutine span trace has no PROP deliveries")
 	}
 }
 
+// TestTraceNDJSONFormat: -trace-spans-format ndjson writes one record
+// per line with a record-order sequence number.
 func TestTraceNDJSONFormat(t *testing.T) {
-	s := testSystem(t)
-	tl := filepath.Join(t.TempDir(), "trace.ndjson")
-	runAndReport(s, reportOpts{seed: 5, runtime: "event", jitter: 1,
-		tracePath: tl, traceFormat: "ndjson"})
-	data, err := os.ReadFile(tl)
-	if err != nil {
-		t.Fatal(err)
+	recs := spanRecords(t, reportOpts{seed: 5, runtime: "event", jitter: 1})
+	if len(recs) == 0 {
+		t.Fatal("empty span trace")
 	}
-	if !bytes.HasPrefix(data, []byte(`{"seq":0,`)) {
-		t.Fatalf("ndjson trace malformed: %.80s", data)
+	for i, rec := range recs {
+		if seq, ok := rec["seq"].(float64); !ok || int(seq) != i {
+			t.Fatalf("record %d has seq %v", i, rec["seq"])
+		}
 	}
 }
 

@@ -25,10 +25,10 @@ type cliFlags struct {
 	phiThreshold float64
 	detector     string
 	faults       string
-	tracelog     string
 	traceSpans   string
 	spansFormat  string
-	traceFormat  string
+	dot          string
+	metrics      bool
 	metricsFmt   string
 	probeInt     float64
 	churn        string
@@ -48,7 +48,7 @@ type runConfig struct {
 // validateFlags parses the structured flags and rejects every
 // unsupported flag interaction with an explicit error. The rule for
 // simulator-only hooks (-faults, -probe-interval, -trace-spans,
-// -tracelog, -churn, -scheduler greedy, -detector, -reliable) is
+// -churn, -scheduler greedy, -detector, -reliable) is
 // uniform: a runtime that cannot honor the hook fails loudly instead
 // of silently ignoring it.
 func validateFlags(f cliFlags) (runConfig, error) {
@@ -63,11 +63,6 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	case "ndjson", "chrome", "tree":
 	default:
 		return cfg, fmt.Errorf("unknown -trace-spans-format %q", f.spansFormat)
-	}
-	switch f.traceFormat {
-	case "log", "ndjson":
-	default:
-		return cfg, fmt.Errorf("unknown -traceformat %q", f.traceFormat)
 	}
 	switch f.metricsFmt {
 	case "text", "json", "prom":
@@ -140,6 +135,21 @@ func validateFlags(f cliFlags) (runConfig, error) {
 		if f.runtime != "event" {
 			return cfg, fmt.Errorf("-churn runs the incremental repair engine, not a distributed runtime; drop -runtime %s", f.runtime)
 		}
+		// The churn report is the epoch table alone: it returns before
+		// any of the distributed run's artifacts would be written.
+		for _, hook := range []struct {
+			name string
+			set  bool
+		}{
+			{"-trace-spans", f.traceSpans != ""},
+			{"-probe-interval", f.probeInt > 0},
+			{"-dot", f.dot != ""},
+			{"-metrics", f.metrics},
+		} {
+			if hook.set {
+				return cfg, fmt.Errorf("%s has no effect under -churn: the repair engine reports only its epoch table", hook.name)
+			}
+		}
 	}
 
 	if f.runtime == "udp" {
@@ -153,8 +163,8 @@ func validateFlags(f cliFlags) (runConfig, error) {
 		if !spec.IsZero() {
 			return cfg, fmt.Errorf("-faults injects at the simulator boundary; -runtime udp has no such hook")
 		}
-		if f.tracelog != "" || f.traceSpans != "" {
-			return cfg, fmt.Errorf("-tracelog/-trace-spans need a simulated runtime (event or goroutine)")
+		if f.traceSpans != "" {
+			return cfg, fmt.Errorf("-trace-spans needs a simulated runtime (event or goroutine)")
 		}
 	}
 	if f.probeInt < 0 {

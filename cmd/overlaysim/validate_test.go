@@ -13,7 +13,6 @@ func baseFlags() cliFlags {
 		detector:    "off",
 		faults:      "off",
 		spansFormat: "ndjson",
-		traceFormat: "log",
 		metricsFmt:  "text",
 		churn:       "off",
 		scheduler:   "canonical",
@@ -42,7 +41,6 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"udp without reliable", func(f *cliFlags) { f.runtime = "udp" }, "needs -reliable"},
 		{"udp ok", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true }, ""},
 		{"udp with faults", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.faults = "dup=0.1" }, "no such hook"},
-		{"udp with tracelog", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.tracelog = "t.log" }, "simulated runtime"},
 		{"udp with trace spans", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.traceSpans = "s.ndjson" }, "simulated runtime"},
 		{"udp with probes", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.probeInt = 5 }, "needs -runtime event"},
 		{"udp with churn", func(f *cliFlags) { f.runtime = "udp"; f.churn = churn }, "drop -runtime udp"},
@@ -52,7 +50,6 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"negative probe interval", func(f *cliFlags) { f.probeInt = -1 }, "non-negative"},
 		{"spans on centralized", func(f *cliFlags) { f.runtime = "centralized"; f.traceSpans = "s" }, "distributed runtime"},
 		{"bad spans format", func(f *cliFlags) { f.spansFormat = "xml" }, "-trace-spans-format"},
-		{"bad trace format", func(f *cliFlags) { f.traceFormat = "yaml" }, "-traceformat"},
 		{"bad metrics format", func(f *cliFlags) { f.metricsFmt = "csv" }, "-metrics-format"},
 
 		// The -churn audit: the engine replaces the distributed sim, so
@@ -63,6 +60,10 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"churn with centralized runtime", func(f *cliFlags) { f.churn = churn; f.runtime = "centralized" }, "drop -runtime centralized"},
 		{"churn with faults", func(f *cliFlags) { f.churn = churn; f.faults = "dup=0.1" }, "incompatible"},
 		{"churn with reliable", func(f *cliFlags) { f.churn = churn; f.reliable = true }, "incompatible"},
+		{"churn with trace spans", func(f *cliFlags) { f.churn = churn; f.traceSpans = "s.ndjson" }, "-trace-spans has no effect under -churn"},
+		{"churn with probes", func(f *cliFlags) { f.churn = churn; f.probeInt = 1 }, "-probe-interval has no effect under -churn"},
+		{"churn with dot", func(f *cliFlags) { f.churn = churn; f.dot = "o.dot" }, "-dot has no effect under -churn"},
+		{"churn with metrics", func(f *cliFlags) { f.churn = churn; f.metrics = true }, "-metrics has no effect under -churn"},
 		{"churn knobs without churn", func(f *cliFlags) { f.repairRounds = 2 }, "need -churn"},
 		{"negative shed depth", func(f *cliFlags) { f.shedDepth = -1 }, "non-negative"},
 

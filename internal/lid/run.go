@@ -95,10 +95,6 @@ type GoOptions struct {
 	// Timeout bounds the wall-clock duration (0 = the GoRunner's 30s
 	// default).
 	Timeout time.Duration
-	// Trace, if non-nil, receives every delivery. It is called from
-	// the per-node goroutines concurrently, so it must be thread-safe
-	// (trace.Collector is).
-	Trace func(simnet.TraceEntry)
 	// Metrics, if non-nil, receives a merge of the run's instrument
 	// registry when the run finishes.
 	Metrics *metrics.Registry
@@ -121,15 +117,12 @@ func RunGoroutines(s *pref.System, tbl *satisfaction.Table, timeout time.Duratio
 	return RunGoroutinesOpts(s, tbl, GoOptions{Timeout: timeout})
 }
 
-// RunGoroutinesOpts is RunGoroutines with tracing and metrics — the
+// RunGoroutinesOpts is RunGoroutines with telemetry and metrics — the
 // full observability surface of the event runtime, on the concurrent
 // one.
 func RunGoroutinesOpts(s *pref.System, tbl *satisfaction.Table, opts GoOptions) (Result, error) {
 	nodes := NewNodes(s, tbl)
 	runner := simnet.NewGoRunner(s.Graph().NumNodes(), opts.Timeout)
-	if opts.Trace != nil {
-		runner.SetTrace(opts.Trace)
-	}
 	if opts.Metrics != nil {
 		runner.SetMetricsSink(opts.Metrics)
 	}

@@ -1,4 +1,4 @@
-package trace
+package obs_test
 
 import (
 	"bytes"
@@ -54,7 +54,7 @@ func goldenSpanTrace(t *testing.T, workers int) []byte {
 // diff at all is a (possibly intentional) trace-format or protocol
 // change. Regenerate with:
 //
-//	go test ./internal/trace -run TestObsNDJSONGolden -args -update
+//	go test ./internal/obs -run TestObsNDJSONGolden -args -update
 func TestObsNDJSONGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "obs_spans_golden.ndjson")
 	base := goldenSpanTrace(t, 1)

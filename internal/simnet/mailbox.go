@@ -42,7 +42,7 @@ type LinkPolicy interface {
 }
 
 // Corrupted marks a payload mangled in transit by a LinkPolicy. The
-// original message is kept so traces stay readable; transports must
+// original message is kept for debugging; transports must
 // treat the whole frame as garbage (a failed checksum), not look
 // inside.
 type Corrupted struct {

@@ -97,9 +97,6 @@ func runTagged(seed uint64, mode, faults byte, n, ttl int) ([][2]float64, error)
 		})
 	}
 	var order [][2]float64
-	opts.Trace = func(e TraceEntry) {
-		order = append(order, [2]float64{e.Time, float64(e.Msg.(tagMsg).tag)})
-	}
 	tags := 0
 	next := func(ttl int) tagMsg { tags++; return tagMsg{tag: tags, ttl: ttl} }
 	fanout := func(ctx Context, ttl int) {
@@ -116,8 +113,11 @@ func runTagged(seed uint64, mode, faults byte, n, ttl int) ([][2]float64, error)
 	hs := make([]Handler, n)
 	for i := range hs {
 		hs[i] = handlerFunc{
-			init:   func(ctx Context) { fanout(ctx, ttl) },
-			handle: func(ctx Context, _ int, msg Message) { fanout(ctx, msg.(tagMsg).ttl) },
+			init: func(ctx Context) { fanout(ctx, ttl) },
+			handle: func(ctx Context, _ int, msg Message) {
+				order = append(order, [2]float64{ctx.Time(), float64(msg.(tagMsg).tag)})
+				fanout(ctx, msg.(tagMsg).ttl)
+			},
 		}
 	}
 	r := NewRunner(n, opts)

@@ -75,34 +75,64 @@ func TestRunnerFlood(t *testing.T) {
 	}
 }
 
+// handled is one HandleMessage call as a recordingHandler saw it.
+type handled struct {
+	Time     float64
+	From, To int
+	Msg      Message
+}
+
+// recordingHandler appends every HandleMessage call, timers included,
+// to a shared log before the wrapped handler runs. The event Runner is
+// single-threaded, so the log order is its delivery order.
+type recordingHandler struct {
+	Handler
+	log *[]handled
+}
+
+func (h recordingHandler) HandleMessage(ctx Context, from int, msg Message) {
+	*h.log = append(*h.log, handled{Time: ctx.Time(), From: from, To: ctx.ID(), Msg: msg})
+	h.Handler.HandleMessage(ctx, from, msg)
+}
+
+// recordDeliveries wraps hs in recordingHandlers sharing one log.
+func recordDeliveries(hs []Handler) ([]Handler, *[]handled) {
+	log := new([]handled)
+	out := make([]Handler, len(hs))
+	for i, h := range hs {
+		out[i] = recordingHandler{Handler: h, log: log}
+	}
+	return out, log
+}
+
 func TestRunnerDeterministicTrace(t *testing.T) {
-	run := func() []TraceEntry {
-		var trace []TraceEntry
-		r := NewRunner(6, Options{
-			Seed:    42,
-			Latency: ExponentialLatency(2.0),
-			Trace:   func(e TraceEntry) { trace = append(trace, e) },
-		})
-		if _, err := r.Run(starHandlers(6)); err != nil {
+	run := func() []handled {
+		r := NewRunner(6, Options{Seed: 42, Latency: ExponentialLatency(2.0)})
+		hs, log := recordDeliveries(starHandlers(6))
+		if _, err := r.Run(hs); err != nil {
 			t.Fatal(err)
 		}
-		return trace
+		return *log
 	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+	a, b := run(), run()
+	if len(a) != 5 {
+		t.Fatalf("recorded %d deliveries, want 5", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("equal seeds produced different traces")
 	}
 }
 
 func TestRunnerSeedChangesOrder(t *testing.T) {
 	order := func(seed uint64) []int {
-		var to []int
-		r := NewRunner(8, Options{
-			Seed:    seed,
-			Latency: ExponentialLatency(5),
-			Trace:   func(e TraceEntry) { to = append(to, e.To) },
-		})
-		if _, err := r.Run(starHandlers(8)); err != nil {
+		r := NewRunner(8, Options{Seed: seed, Latency: ExponentialLatency(5)})
+		hs, log := recordDeliveries(starHandlers(8))
+		if _, err := r.Run(hs); err != nil {
 			t.Fatal(err)
+		}
+		var to []int
+		for _, d := range *log {
+			to = append(to, d.To)
 		}
 		return to
 	}
