@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check perfbench-smoke vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
+.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check perfbench-smoke vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover loc clean
 
 all: build vet test
 
@@ -101,8 +101,10 @@ golden-check:
 # (internal/transport) with the full reliable/detector stack; the
 # matching must be the same LIC either way. This is the gate that keeps
 # the wire layer honest against the simulator the experiments certify.
+# The in-flight test holds the cluster's quiescence check to a handler
+# still inside a call.
 loopback-check:
-	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestClusterCoalescing' ./internal/transport
+	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestClusterCoalescing|TestClusterWaitsForHandlerInFlight' ./internal/transport
 
 # perfbench/ is a nested module (it pins the root through a replace
 # directive), so the root `go build ./...` and `go test ./...` never
@@ -127,6 +129,11 @@ examples:
 cover:
 	$(GO) test ./... -coverprofile=cover.out -covermode=count
 	$(GO) tool cover -func=cover.out | tail -1
+
+# The tracked size of the code base (ROADMAP, "Quality of design"):
+# non-test Go lines outside the perfbench/ module.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	rm -f cover.out .experiments_regen.txt

@@ -109,19 +109,6 @@ func (mb *mailbox) pop() (delivery, bool) {
 	return d, true
 }
 
-// tryPop dequeues without blocking; the second result is false if the
-// mailbox is currently empty.
-func (mb *mailbox) tryPop() (delivery, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if len(mb.items) == 0 {
-		return delivery{}, false
-	}
-	d := mb.items[0]
-	mb.items = mb.items[1:]
-	return d, true
-}
-
 // close wakes any blocked pop and makes future pushes no-ops.
 func (mb *mailbox) close() {
 	mb.mu.Lock()

@@ -8,10 +8,11 @@
 //     by (time, sequence), and the whole execution is reproducible —
 //     the tool the experiment suite uses to sweep thousands of
 //     interleavings.
-//   - GoRunner: a real concurrent runtime, one goroutine per peer with
-//     an unbounded mailbox. It exercises true parallelism and the Go
-//     race detector; results must agree with Runner on every workload
-//     (experiment E2).
+//   - GoRunner: a real concurrent runtime, one Driver (delivery
+//     goroutine and unbounded mailbox) per peer. It exercises true
+//     parallelism and the Go race detector; results must agree with
+//     Runner on every workload (experiment E2). The UDP transport hosts
+//     its nodes on the same Driver.
 //
 // Both runtimes share the Handler interface, so a protocol is written
 // once. Termination is structural — a handler calls Context.Halt when

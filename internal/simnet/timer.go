@@ -8,10 +8,10 @@ package simnet
 // never dropped by the loss model.
 //
 // The event Runner implements timers exactly on its virtual clock. The
-// GoRunner maps one virtual time unit to Options-configurable real
-// time (default 1ms); its timers are wall-clock approximations, which
-// is fine because the protocols only use timers for conservative
-// timeouts.
+// concurrent runtimes' Driver maps one virtual time unit to real time
+// (fixed at 1ms on the GoRunner; UDPConfig.TimeUnit on a UDP node);
+// their timers are wall-clock approximations, which is fine because the
+// protocols only use timers for conservative timeouts.
 
 // TimerSetter is implemented by Contexts that support timers. Both
 // runtimes do; the interface is separate so simple protocols don't

@@ -2,9 +2,7 @@ package simnet
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // timerToken marks timer deliveries in the tests.
@@ -12,10 +10,7 @@ type timerToken struct{ n int }
 
 // timedHandler sets a chain of timers at Init and records fire order.
 type timedHandler struct {
-	mu     sync.Mutex
-	fired  []int
-	limit  int
-	halted bool
+	fired []int
 }
 
 func (h *timedHandler) Init(ctx Context) {
@@ -32,11 +27,8 @@ func (h *timedHandler) HandleMessage(ctx Context, from int, msg Message) {
 	if from != ctx.ID() {
 		panic("timer delivered with foreign from")
 	}
-	h.mu.Lock()
 	h.fired = append(h.fired, tok.n)
-	done := len(h.fired) == 3
-	h.mu.Unlock()
-	if done {
+	if len(h.fired) == 3 {
 		ctx.Halt()
 	}
 }
@@ -56,26 +48,6 @@ func TestRunnerTimersFireInVirtualOrder(t *testing.T) {
 	}
 	if stats.FinalTime != 9 {
 		t.Fatalf("final time %v, want 9", stats.FinalTime)
-	}
-}
-
-func TestGoRunnerTimers(t *testing.T) {
-	h := &timedHandler{}
-	r := NewGoRunner(1, 10*time.Second)
-	r.SetTimeUnit(time.Millisecond)
-	stats, err := r.Run([]Handler{h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.fired) != 3 {
-		t.Fatalf("fired %v", h.fired)
-	}
-	if stats.TimersFired != 3 {
-		t.Fatalf("TimersFired = %d", stats.TimersFired)
-	}
-	// Wall-clock ordering should match virtual order with these gaps.
-	if h.fired[0] != 1 {
-		t.Fatalf("first timer = %d, want 1", h.fired[0])
 	}
 }
 

@@ -11,12 +11,18 @@ package simnet
 //     conformance harness: every protocol result is defined by what
 //     the Runner computes, and the experiment registry (E1–E19) gates
 //     against it bit-for-bit.
-//   - GoRunner — one goroutine per node with unbounded mailboxes;
+//   - GoRunner — one Driver per node joined by in-memory mailboxes;
 //     exercises real concurrency and the race detector.
 //   - transport.Cluster — real UDP sockets (package
-//     internal/transport): per-peer send loops, length-prefixed binary
-//     frames, message coalescing. The deployable backend; its runs
-//     must produce the same matchings the Runner certifies.
+//     internal/transport): one Driver per node whose sends become
+//     length-prefixed binary frames, coalesced by per-peer send loops.
+//     The deployable backend; its runs must produce the same matchings
+//     the Runner certifies.
+//
+// The two concurrent backends share the Driver (driver.go): the inbox,
+// the delivery goroutine, wall-clock timers and the halted and
+// pending-work state are written once, and only the egress and the
+// termination rule differ.
 //
 // The interface is deliberately minimal: protocols never see it (they
 // are written against Handler/Context), but harnesses, experiments and
@@ -50,5 +56,5 @@ var (
 	_ Transport = (*Runner)(nil)
 	_ Transport = (*GoRunner)(nil)
 	_ Endpoint  = (*runnerCtx)(nil)
-	_ Endpoint  = (*goCtx)(nil)
+	_ Endpoint  = (*Driver)(nil)
 )

@@ -31,20 +31,8 @@ var _ simnet.Transport = (*Cluster)(nil)
 // ClusterConfig parameterizes a loopback cluster. The zero value is
 // usable.
 type ClusterConfig struct {
-	// TimeUnit is the wall-clock duration of one virtual timer unit on
-	// every node (default 1ms, like GoRunner.SetTimeUnit).
-	TimeUnit time.Duration
-	// CoalesceBytes is each node's per-datagram frame budget (default
-	// 1200).
-	CoalesceBytes int
 	// Timeout bounds Run's wait for cluster quiescence (default 30s).
 	Timeout time.Duration
-	// IdleWindow is how long every node must be silent — halted, empty
-	// inbox, no pending timers, no wire activity — before Run declares
-	// the run complete (default 150ms). With the reliable layer in the
-	// stack, Halt already certifies full acknowledgment, so the window
-	// only has to outlast residual duplicate/heartbeat traffic.
-	IdleWindow time.Duration
 }
 
 func (c ClusterConfig) timeout() time.Duration {
@@ -54,12 +42,12 @@ func (c ClusterConfig) timeout() time.Duration {
 	return 30 * time.Second
 }
 
-func (c ClusterConfig) idleWindow() time.Duration {
-	if c.IdleWindow > 0 {
-		return c.IdleWindow
-	}
-	return 150 * time.Millisecond
-}
+// clusterIdleWindow is how long every node must be silent — halted, no
+// pending work, no wire activity — before Run declares the run
+// complete. With the reliable layer in the stack, Halt already
+// certifies full acknowledgment, so the window only has to outlast
+// residual duplicate/heartbeat traffic.
+const clusterIdleWindow = 150 * time.Millisecond
 
 // NewLoopbackCluster binds n loopback sockets and wires the full peer
 // mesh. No handler runs until Run. Callers must Close (Run leaves the
@@ -70,13 +58,7 @@ func NewLoopbackCluster(n int, cfg ClusterConfig) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < n; i++ {
-		nd, err := ListenUDP(UDPConfig{
-			NodeID:        i,
-			N:             n,
-			Listen:        "127.0.0.1:0",
-			TimeUnit:      cfg.TimeUnit,
-			CoalesceBytes: cfg.CoalesceBytes,
-		})
+		nd, err := ListenUDP(UDPConfig{NodeID: i, N: n, Listen: "127.0.0.1:0"})
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -121,13 +103,12 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 		nd.Start(handlers[i])
 	}
 
-	window := c.cfg.idleWindow()
 	deadline := time.Now().Add(c.cfg.timeout())
 	var timedOut bool
 	for {
 		quiet := true
 		for _, nd := range c.nodes {
-			if !nd.Quiet(window) {
+			if !nd.Quiet(clusterIdleWindow) {
 				quiet = false
 				break
 			}
@@ -148,9 +129,8 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 	var stuck []string
 	if timedOut {
 		for _, nd := range c.nodes {
-			if !nd.Quiet(window) {
-				stuck = append(stuck, fmt.Sprintf("node %d (halted=%v queued=%d timers=%d)",
-					nd.ID(), nd.Halted(), nd.inbox.len(), nd.pendingTimers.Load()))
+			if !nd.Quiet(clusterIdleWindow) {
+				stuck = append(stuck, nd.status())
 			}
 		}
 	}

@@ -41,7 +41,7 @@ type UDPConfig struct {
 	// cover every destination before Start.
 	Peers map[int]string
 	// TimeUnit is the real duration of one virtual time unit for
-	// timers, like GoRunner.SetTimeUnit (default 1ms).
+	// timers (default 1ms, the GoRunner's fixed unit).
 	TimeUnit time.Duration
 	// CoalesceBytes is the frame-byte budget per datagram: queued
 	// frames toward one peer are packed together up to this size
@@ -68,75 +68,16 @@ func (c UDPConfig) budget() int {
 // protocol messages (what simnet counts as sends/deliveries);
 // datagrams are the socket-level packets they coalesce into.
 type UDPCounters struct {
-	FramesSent     int64
+	FramesSent      int64
 	FramesDelivered int64
-	DatagramsSent  int64
-	DatagramsRecv  int64
-	BytesSent      int64
-	BytesRecv      int64
-	TimersFired    int64
+	DatagramsSent   int64
+	DatagramsRecv   int64
+	BytesSent       int64
+	BytesRecv       int64
+	TimersFired     int64
 	// Dropped counts ingress discards: CRC or envelope damage, decode
 	// failures, and frames arriving for an unknown sender.
 	Dropped int64
-}
-
-// delivery is one queued upcall for the node's handler goroutine.
-type udpDelivery struct {
-	from  int
-	msg   simnet.Message
-	timer bool
-}
-
-// inbox is the unbounded MPSC delivery queue (the same discipline as
-// simnet's goroutine mailboxes: senders never block, one owner pops).
-type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []udpDelivery
-	closed bool
-}
-
-func newInbox() *inbox {
-	ib := &inbox{}
-	ib.cond = sync.NewCond(&ib.mu)
-	return ib
-}
-
-func (ib *inbox) push(d udpDelivery) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.closed {
-		return
-	}
-	ib.items = append(ib.items, d)
-	ib.cond.Signal()
-}
-
-func (ib *inbox) pop() (udpDelivery, bool) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for len(ib.items) == 0 && !ib.closed {
-		ib.cond.Wait()
-	}
-	if len(ib.items) == 0 {
-		return udpDelivery{}, false
-	}
-	d := ib.items[0]
-	ib.items = ib.items[1:]
-	return d, true
-}
-
-func (ib *inbox) len() int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return len(ib.items)
-}
-
-func (ib *inbox) close() {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	ib.closed = true
-	ib.cond.Broadcast()
 }
 
 // peerLink is the per-peer egress queue its send loop drains: frames
@@ -190,9 +131,9 @@ func (l *peerLink) close() {
 	l.cond.Broadcast()
 }
 
-// UDPNode is one overlay node attached to a real UDP socket. It drives
-// a simnet.Handler exactly like the in-process runtimes do — Init then
-// sequential HandleMessage calls on one goroutine, timers as
+// UDPNode is one overlay node attached to a real UDP socket. It hosts
+// a simnet.Handler on the same simnet.Driver the GoRunner uses — Init
+// then sequential HandleMessage calls on one goroutine, timers as
 // self-deliveries — but its sends are encoded frames coalesced into
 // datagrams, and its deliveries come off the wire. The whole protocol
 // stack (lid under reliable under detector) runs on it unchanged.
@@ -201,7 +142,7 @@ type UDPNode struct {
 	conn  *net.UDPConn
 	peers map[int]*net.UDPAddr
 
-	inbox *inbox
+	drv *simnet.Driver
 
 	linkMu sync.Mutex
 	links  map[int]*peerLink
@@ -210,9 +151,7 @@ type UDPNode struct {
 	started bool
 	closed  atomic.Bool
 
-	halted        atomic.Bool
-	pendingTimers atomic.Int64
-	lastActivity  atomic.Int64 // UnixNano of the most recent wire/timer event
+	lastActivity atomic.Int64 // UnixNano of the most recent wire or handler event
 
 	framesSent      atomic.Int64
 	framesDelivered atomic.Int64
@@ -223,9 +162,9 @@ type UDPNode struct {
 	timersFired     atomic.Int64
 	dropped         atomic.Int64
 
-	// sentByKind/receivedFrom are only touched on the delivery
-	// goroutine (Send happens inside handler calls), so they need no
-	// lock; they are read after the node is stopped.
+	// sentByKind is only touched on the delivery goroutine (Send
+	// happens inside handler calls), so it needs no lock; it is read
+	// after the node is stopped.
 	sentByKind map[string]int
 }
 
@@ -256,10 +195,10 @@ func ListenUDP(cfg UDPConfig) (*UDPNode, error) {
 		cfg:        cfg,
 		conn:       conn,
 		peers:      make(map[int]*net.UDPAddr),
-		inbox:      newInbox(),
 		links:      make(map[int]*peerLink),
 		sentByKind: make(map[string]int),
 	}
+	nd.drv = simnet.NewDriver(cfg.NodeID, cfg.timeUnit(), nil, nd.send, nd.observe)
 	nd.touch()
 	if err := nd.SetPeers(cfg.Peers); err != nil {
 		conn.Close()
@@ -270,9 +209,6 @@ func ListenUDP(cfg UDPConfig) (*UDPNode, error) {
 
 // LocalAddr returns the bound socket address (resolving ":0" listens).
 func (nd *UDPNode) LocalAddr() *net.UDPAddr { return nd.conn.LocalAddr().(*net.UDPAddr) }
-
-// ID returns the node's protocol identity.
-func (nd *UDPNode) ID() int { return nd.cfg.NodeID }
 
 // SetPeers resolves and installs id -> address routes (adding to any
 // set at ListenUDP). An entry for the node itself is allowed and
@@ -294,25 +230,12 @@ func (nd *UDPNode) SetPeers(peers map[int]string) error {
 	return nil
 }
 
-// touch records wire activity for the quiescence detector.
+// touch records wire or handler activity for the quiescence detector.
 func (nd *UDPNode) touch() { nd.lastActivity.Store(time.Now().UnixNano()) }
 
-// udpCtx implements simnet.Endpoint for handler calls on this node.
-type udpCtx struct {
-	nd *UDPNode
-}
-
-func (c *udpCtx) ID() int { return c.nd.cfg.NodeID }
-
-// Time implements simnet.Context. Like the GoRunner, a socket node has
-// no global virtual clock; layers that need one (adaptive RTO
-// sampling) fall back to their clockless behavior.
-func (c *udpCtx) Time() float64 { return 0 }
-
-func (c *udpCtx) Halt() { c.nd.halted.Store(true) }
-
-func (c *udpCtx) Send(to int, msg simnet.Message) {
-	nd := c.nd
+// send is the driver's egress: encode the frame and queue it on the
+// peer's send loop.
+func (nd *UDPNode) send(_, to int, msg simnet.Message) {
 	if to < 0 || to >= nd.cfg.N {
 		panic(fmt.Sprintf("transport: send to %d outside [0,%d)", to, nd.cfg.N))
 	}
@@ -328,20 +251,20 @@ func (c *udpCtx) Send(to int, msg simnet.Message) {
 	nd.link(to).push(frame)
 }
 
-// SetTimer implements simnet.TimerSetter: msg comes back to this node
-// after delay virtual units of wall-clock time, like the GoRunner.
-func (c *udpCtx) SetTimer(delay float64, msg simnet.Message) {
-	if delay <= 0 {
-		panic("transport: SetTimer needs a positive delay")
+// observe is the driver's hook: finished deliveries and timers count
+// and are activity for the quiescence detector. The driver calls it
+// before it releases the call's pending count, so Quiet never sees a
+// finished call as idle time.
+func (nd *UDPNode) observe(_ int, ev simnet.DriverEvent) {
+	switch ev {
+	case simnet.EventDelivery:
+		nd.framesDelivered.Add(1)
+	case simnet.EventTimer:
+		nd.timersFired.Add(1)
+	default:
+		return
 	}
-	nd := c.nd
-	nd.pendingTimers.Add(1)
-	d := time.Duration(delay * float64(nd.cfg.timeUnit()))
-	time.AfterFunc(d, func() {
-		nd.pendingTimers.Add(-1)
-		nd.touch()
-		nd.inbox.push(udpDelivery{from: nd.cfg.NodeID, msg: msg, timer: true})
-	})
+	nd.touch()
 }
 
 // link returns (creating on first use) the egress queue toward peer
@@ -445,58 +368,44 @@ func (nd *UDPNode) readLoop() {
 				break
 			}
 			rest = rest[consumed:]
-			nd.inbox.push(udpDelivery{from: from, msg: msg})
+			nd.drv.Push(from, msg, 0)
 		}
 	}
 }
 
 // Start attaches the handler and begins delivery: Init runs first on
-// the delivery goroutine, then arriving frames and timers, one at a
-// time, until Close — the same per-node sequentiality contract the
+// the driver's delivery goroutine, then arriving frames and timers, one
+// at a time, until Close — the same per-node sequentiality contract the
 // simulator runtimes guarantee.
 func (nd *UDPNode) Start(h simnet.Handler) {
 	if nd.started {
 		panic("transport: UDPNode started twice")
 	}
 	nd.started = true
-	nd.wg.Add(2)
+	nd.wg.Add(1)
 	go nd.readLoop()
-	go func() {
-		defer nd.wg.Done()
-		ctx := &udpCtx{nd: nd}
-		h.Init(ctx)
-		for {
-			d, ok := nd.inbox.pop()
-			if !ok {
-				return
-			}
-			h.HandleMessage(ctx, d.from, d.msg)
-			if d.timer {
-				nd.timersFired.Add(1)
-			} else {
-				nd.framesDelivered.Add(1)
-			}
-			nd.touch()
-		}
-	}()
+	nd.drv.Start(h)
 }
 
-// Halted reports whether the handler stack called Halt.
-func (nd *UDPNode) Halted() bool { return nd.halted.Load() }
-
 // Quiet reports whether the node is locally quiescent: handler halted,
-// no queued deliveries, no pending timers, and no wire or timer
-// activity for the given window. On a real network this is necessarily
-// a heuristic — a datagram can always still be in flight — but with
-// the reliable layer active, "halted" already certifies every frame
-// this node sent was acknowledged, so the window only needs to cover
-// residual peer traffic (duplicate acks, trailing heartbeats).
+// no queued delivery, no pending timer, no handler call in progress,
+// and no wire or handler activity for the given window. On a real
+// network this is necessarily a heuristic — a datagram can always
+// still be in flight — but with the reliable layer active, "halted"
+// already certifies every frame this node sent was acknowledged, so
+// the window only needs to cover residual peer traffic (duplicate
+// acks, trailing heartbeats).
 func (nd *UDPNode) Quiet(window time.Duration) bool {
-	if !nd.halted.Load() || nd.inbox.len() > 0 || nd.pendingTimers.Load() > 0 {
+	if !nd.drv.Halted() || nd.drv.Pending() > 0 {
 		return false
 	}
 	last := time.Unix(0, nd.lastActivity.Load())
 	return time.Since(last) >= window
+}
+
+// status describes the node's termination state for error messages.
+func (nd *UDPNode) status() string {
+	return fmt.Sprintf("node %d (halted=%v pending=%d)", nd.cfg.NodeID, nd.drv.Halted(), nd.drv.Pending())
 }
 
 // AwaitQuiescence blocks until Quiet(window) holds or the timeout
@@ -510,19 +419,20 @@ func (nd *UDPNode) AwaitQuiescence(timeout, window time.Duration) error {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return fmt.Errorf("transport: node %d not quiescent after %v (halted=%v queued=%d timers=%d)",
-		nd.cfg.NodeID, timeout, nd.halted.Load(), nd.inbox.len(), nd.pendingTimers.Load())
+	return fmt.Errorf("transport: %s not quiescent after %v", nd.status(), timeout)
 }
 
 // Close stops the node: the socket closes (ending the read loop), the
-// delivery queue drains no further, and the send loops exit. Close is
-// idempotent and safe to call after a failed Await.
+// driver stops after the handler call in progress, and the send loops
+// exit. Close is idempotent and safe to call after a failed Await.
 func (nd *UDPNode) Close() {
 	if nd.closed.Swap(true) {
 		return
 	}
 	nd.conn.Close()
-	nd.inbox.close()
+	// The handler is the only caller of link, so no send loop starts
+	// once the driver has stopped.
+	nd.drv.Stop()
 	nd.linkMu.Lock()
 	for _, l := range nd.links {
 		l.close()

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,7 +92,8 @@ func TestLoopbackClusterLIC(t *testing.T) {
 }
 
 // burstSender floods one peer from Init and halts; burstSink counts
-// arrivals and halts at the target. Between them they exercise
+// arrivals, and the calls that overlapped another call on the same
+// node, and halts at the target. Between them they exercise
 // coalescing: frames queued behind an in-flight datagram share
 // envelopes.
 type burstSender struct {
@@ -108,16 +110,23 @@ func (b *burstSender) Init(ctx simnet.Context) {
 func (b *burstSender) HandleMessage(simnet.Context, int, simnet.Message) {}
 
 type burstSink struct {
-	want int
-	got  int
+	want        int
+	got         int
+	inside      atomic.Int32
+	overlapping atomic.Int32
 }
 
 func (b *burstSink) Init(simnet.Context) {}
 func (b *burstSink) HandleMessage(ctx simnet.Context, _ int, _ simnet.Message) {
+	if b.inside.Add(1) != 1 {
+		b.overlapping.Add(1)
+	}
+	time.Sleep(10 * time.Microsecond) // widen the window an overlap would need
 	b.got++
 	if b.got == b.want {
 		ctx.Halt()
 	}
+	b.inside.Add(-1)
 }
 
 func TestClusterCoalescing(t *testing.T) {
@@ -149,38 +158,6 @@ func TestClusterCoalescing(t *testing.T) {
 	}
 	if c.BytesSent == 0 || st.SentByKind["RAW"] != frames {
 		t.Errorf("counters inconsistent: %+v, kinds %v", c, st.SentByKind)
-	}
-}
-
-// echoTimer exercises the timer path: Init arms a timer, the timer
-// delivery halts.
-type echoTimer struct{ fired bool }
-
-func (e *echoTimer) Init(ctx simnet.Context) {
-	ctx.(simnet.TimerSetter).SetTimer(5, transport.Raw("tick"))
-}
-func (e *echoTimer) HandleMessage(ctx simnet.Context, from int, _ simnet.Message) {
-	if from == ctx.ID() {
-		e.fired = true
-		ctx.Halt()
-	}
-}
-
-func TestClusterTimers(t *testing.T) {
-	cluster, err := transport.NewLoopbackCluster(1, transport.ClusterConfig{
-		Timeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	defer cluster.Close()
-	h := &echoTimer{}
-	st, err := cluster.Run([]simnet.Handler{h})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !h.fired || st.TimersFired != 1 {
-		t.Fatalf("timer not delivered: fired=%v stats=%+v", h.fired, st)
 	}
 }
 
@@ -218,7 +195,7 @@ func TestClusterHandlerCountMismatch(t *testing.T) {
 		t.Fatalf("cluster: %v", err)
 	}
 	defer cluster.Close()
-	if _, err := cluster.Run([]simnet.Handler{&echoTimer{}}); err == nil {
+	if _, err := cluster.Run([]simnet.Handler{&burstSink{}}); err == nil {
 		t.Fatal("Run accepted 1 handler for 2 nodes")
 	}
 }
