@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check perfbench-smoke vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover loc clean
+.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check perfbench-smoke vet fmt-check fuzz fuzz-smoke bench bench-json bench-check experiments examples cover loc clean
 
 all: build vet test
 
@@ -14,8 +14,8 @@ all: build vet test
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
 # the benchmark regression gate, the real-socket loopback conformance
-# run, and the benchmark module's smoke test.
-check: build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check perfbench-smoke
+# run, the benchmark module's smoke test, and the gofmt gate.
+check: build vet fmt-check test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check perfbench-smoke
 
 # Vet first so a broken build fails fast instead of surfacing as a
 # confusing mid-run race failure. The dense-core packages (graph, pref,
@@ -34,6 +34,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file, the perfbench/ module's included, must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

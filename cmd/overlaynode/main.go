@@ -14,7 +14,10 @@
 //
 // Each process prints its locked partner set once the protocol
 // quiesces; corresponding lines across processes agree, and agree with
-// `overlaysim -runtime event` on the same workload flags.
+// `overlaysim event` on the same workload flags only when -p, -radius
+// and -m are given explicitly. Left at 0 they take faults.WorkloadSpec's
+// defaults (p = 8/(n-1), radius = 1.6/sqrt(n), m = 4), which differ
+// from overlaysim's (-p 0.05, -radius 0.15, -m 3).
 package main
 
 import (
@@ -70,7 +73,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if err := validate(*listen, *nodeID, *n, peers); err != nil {
+	if err := validate(*listen, *nodeID, *n, *rto, peers); err != nil {
 		fail("%v", err)
 	}
 	det, err := detector.Parse(*detStr)
@@ -192,12 +195,15 @@ func parsePeers(s string) (map[int]string, error) {
 }
 
 // validate checks the flag combination before any socket is bound.
-func validate(listen string, nodeID, n int, peers map[int]string) error {
+func validate(listen string, nodeID, n int, rto float64, peers map[int]string) error {
 	if listen == "" {
 		return fmt.Errorf("-listen is required")
 	}
 	if n <= 0 {
 		return fmt.Errorf("-n %d must be positive", n)
+	}
+	if rto <= 0 {
+		return fmt.Errorf("-rto must be positive, got %v (the retransmission timer would never fire)", rto)
 	}
 	if nodeID < 0 || nodeID >= n {
 		return fmt.Errorf("-node-id %d outside [0,%d)", nodeID, n)

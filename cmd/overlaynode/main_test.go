@@ -41,7 +41,7 @@ func TestParsePeersRejectsMalformed(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	full := map[int]string{1: "127.0.0.1:7001", 2: "127.0.0.1:7002"}
-	if err := validate("127.0.0.1:7000", 0, 3, full); err != nil {
+	if err := validate("127.0.0.1:7000", 0, 3, 30, full); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
 	cases := []struct {
@@ -49,18 +49,21 @@ func TestValidate(t *testing.T) {
 		listen string
 		nodeID int
 		n      int
+		rto    float64
 		peers  map[int]string
 		want   string
 	}{
-		{"empty listen", "", 0, 3, full, "-listen is required"},
-		{"zero n", "127.0.0.1:7000", 0, 0, nil, "must be positive"},
-		{"negative node id", "127.0.0.1:7000", -1, 3, full, "outside"},
-		{"node id beyond n", "127.0.0.1:7000", 3, 3, full, "outside"},
-		{"peer id beyond n", "127.0.0.1:7000", 0, 2, map[int]string{1: "a:1", 5: "b:2"}, "outside"},
-		{"missing route", "127.0.0.1:7000", 0, 3, map[int]string{1: "a:1"}, "missing a route for node 2"},
+		{"empty listen", "", 0, 3, 30, full, "-listen is required"},
+		{"zero n", "127.0.0.1:7000", 0, 0, 30, nil, "must be positive"},
+		{"negative node id", "127.0.0.1:7000", -1, 3, 30, full, "outside"},
+		{"node id beyond n", "127.0.0.1:7000", 3, 3, 30, full, "outside"},
+		{"peer id beyond n", "127.0.0.1:7000", 0, 2, 30, map[int]string{1: "a:1", 5: "b:2"}, "outside"},
+		{"zero rto", "127.0.0.1:7000", 0, 3, 0, full, "-rto must be positive"},
+		{"negative rto", "127.0.0.1:7000", 0, 3, -5, full, "-rto must be positive"},
+		{"missing route", "127.0.0.1:7000", 0, 3, 30, map[int]string{1: "a:1"}, "missing a route for node 2"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.listen, tc.nodeID, tc.n, tc.peers)
+		err := validate(tc.listen, tc.nodeID, tc.n, tc.rto, tc.peers)
 		if err == nil {
 			t.Errorf("%s: validate accepted", tc.name)
 			continue

@@ -15,7 +15,7 @@ import (
 // epochs it produced: latency, bounded-region size, the certified
 // blocking-edge bound, and the weight the configured budget kept
 // relative to the live LIC under the inherited weight order.
-func runChurnReport(sys *pref.System, opts reportOpts) {
+func runChurnReport(sys *pref.System, opts options) {
 	n := sys.Graph().NumNodes()
 	eng, err := dynamic.NewEngine(sys, dynamic.EngineOptions{
 		RepairRounds:     opts.repairRounds,

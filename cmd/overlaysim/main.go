@@ -1,17 +1,22 @@
 // Command overlaysim runs one overlay-matching simulation end to end
 // and prints a human-readable report: the topology, the preference
-// metric, whether the preference system is acyclic, the distributed
-// run's message/round statistics, and the satisfaction the peers
-// achieved (with the Theorem-3 guarantee for reference).
+// metric, whether the preference system is acyclic, the run's
+// message/round statistics, and the satisfaction the peers achieved
+// (with the Theorem-3 guarantee for reference). Each runtime is a
+// subcommand that defines only the flags its run reads; `overlaysim
+// -h` lists them. A command-line error exits 2, a failed run 1.
 //
 // Examples:
 //
-//	overlaysim -topology gnp -n 200 -p 0.05 -b 3 -metric random
-//	overlaysim -topology geometric -n 500 -radius 0.08 -metric distance -runtime goroutine
-//	overlaysim -topology ba -n 300 -m 4 -b 2 -metric transactions -jitter 5
+//	overlaysim event -topology gnp -n 200 -p 0.05 -b 3 -metric random
+//	overlaysim goroutine -topology geometric -n 500 -radius 0.08 -metric distance
+//	overlaysim udp -topology ba -n 300 -m 4 -b 2 -detector on
+//	overlaysim churn -n 80 events=60,leave=0.55
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,7 +25,6 @@ import (
 	"time"
 
 	"overlaymatch/internal/detector"
-	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/gen"
 	"overlaymatch/internal/graph"
@@ -38,54 +42,17 @@ import (
 )
 
 func main() {
-	var (
-		topology = flag.String("topology", "gnp", "gnp | geometric | ba | ws | ring | grid | complete | tree")
-		n        = flag.Int("n", 100, "number of peers")
-		p        = flag.Float64("p", 0.05, "edge probability (gnp)")
-		radius   = flag.Float64("radius", 0.15, "connection radius (geometric)")
-		mAttach  = flag.Int("m", 3, "attachments per node (ba)")
-		k        = flag.Int("k", 6, "lattice degree (ws, even)")
-		beta     = flag.Float64("beta", 0.2, "rewiring probability (ws)")
-		rows     = flag.Int("rows", 10, "rows (grid)")
-		quota    = flag.Int("b", 3, "connection quota per peer")
-		metric   = flag.String("metric", "random", "random | symmetric | distance | resource | transactions")
-		seed     = flag.Uint64("seed", 1, "seed for topology, preferences and latencies")
-		runtime_ = flag.String("runtime", "event", "event | goroutine | centralized | udp (loopback real-socket cluster; needs -reliable)")
-		jitter   = flag.Float64("jitter", 3, "latency jitter scale (event runtime)")
-		workload = flag.String("workload", "", "load a frozen workload JSON (see graphgen -format workload) instead of generating")
-		dotOut   = flag.String("dot", "", "write the final overlay as Graphviz DOT to this file")
-		spansOut = flag.String("trace-spans", "", "write the causal span trace (Lamport clocks, protocol spans) to this file")
-		spansFmt = flag.String("trace-spans-format", "ndjson", "span trace format: ndjson | chrome | tree")
-		probeInt = flag.Float64("probe-interval", 0, "virtual-time spacing of per-round stability probes (0 = off; event runtime only)")
-		metOut   = flag.Bool("metrics", false, "print the run's metric snapshot after the report")
-		metFmt   = flag.String("metrics-format", "text", "metric snapshot format: text | json | prom")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		faultStr = flag.String("faults", "off", "fault-injection spec, e.g. drop=0.1,dup=0.05,partition=20:60:0-9 (see internal/faults)")
-		faultSd  = flag.Uint64("faults-seed", 0, "seed of the injection stream (0 = derive from -seed)")
-		reliab   = flag.Bool("reliable", false, "wrap LID in the ack/retransmit substrate (required for drop/corrupt faults)")
-		rto      = flag.Float64("rto", 30, "retransmission timeout in virtual time units (-reliable)")
-		adaptRTO = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout with backoff (-reliable)")
-		detStr   = flag.String("detector", "off", "heartbeat failure detector: off | on | hb=5,phi=8,... (see internal/detector)")
-		hbInt    = flag.Float64("hb-interval", 0, "heartbeat interval override in virtual time units (implies -detector on)")
-		phiThr   = flag.Float64("phi-threshold", 0, "phi suspicion threshold override (implies -detector on)")
-		replay   = flag.String("replay", "", "re-execute a frozen replay file (see faults.Explore) and report the verdict")
-		workers  = flag.Int("workers", 0, "goroutines for the deterministic parallel weight-table build (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-		churnStr = flag.String("churn", "off", `run the churn-survival engine instead of the distributed sim: "events=200,leave=0.5,minalive=8,rate=2" (see internal/dynamic)`)
-		repairK  = flag.Int("repair-rounds", 0, "truncate each repair epoch after this many cascade rounds (0 = full budget; needs -churn)")
-		shedD    = flag.Int("shed-depth", 0, "shed epochs whose batch exceeds this to one-round backup placement (0 = never; needs -churn)")
-		schedStr = flag.String("scheduler", "canonical", "proposal admission order: canonical | greedy | greedy:batch=N (greedy needs -runtime event; same matching, fewer messages)")
-		verbose  = flag.Bool("v", false, "print per-peer connections")
-	)
-	flag.Parse()
-
-	if *replay != "" {
-		runReplayFile(*replay)
+	cmd, o, err := parseArgs(os.Args[1:])
+	if err != nil {
+		exitUsage(cmd, err)
+	}
+	if cmd == "replay" {
+		runReplayFile(o.replayPath)
 		return
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -95,82 +62,84 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
+	if o.memProfile != "" {
 		defer func() {
-			writeFileWith(*memProf, func(w io.Writer) error {
+			writeFileWith(o.memProfile, func(w io.Writer) error {
 				return pprof.Lookup("allocs").WriteTo(w, 0)
 			})
 		}()
 	}
+	runAndReport(cmd, loadSystem(o), o)
+}
 
-	cfg, err := validateFlags(cliFlags{
-		runtime:      *runtime_,
-		rto:          *rto,
-		adaptiveRTO:  *adaptRTO,
-		reliable:     *reliab,
-		hbInterval:   *hbInt,
-		phiThreshold: *phiThr,
-		detector:     *detStr,
-		faults:       *faultStr,
-		traceSpans:   *spansOut,
-		spansFormat:  *spansFmt,
-		dot:          *dotOut,
-		metrics:      *metOut,
-		metricsFmt:   *metFmt,
-		probeInt:     *probeInt,
-		churn:        *churnStr,
-		repairRounds: *repairK,
-		shedDepth:    *shedD,
-		scheduler:    *schedStr,
-	})
-	if err != nil {
-		fail("%v", err)
+// exitUsage reports a command-line error, or answers a help request
+// with the usage of cmd (of overlaysim when cmd is no subcommand).
+func exitUsage(cmd string, err error) {
+	if !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "overlaysim: %v\n", err)
+		if cmd != "" {
+			fmt.Fprintf(os.Stderr, "Run 'overlaysim %s -h' for its flags.\n", cmd)
+		} else {
+			fmt.Fprintln(os.Stderr, usage)
+		}
+		os.Exit(2)
 	}
-	fseed := *faultSd
-	if fseed == 0 {
-		fseed = *seed ^ 0x5fa715ca11edc0de
+	if fs, ferr := newFlagSet(cmd, new(options)); ferr == nil {
+		fmt.Fprintf(os.Stderr, "usage of overlaysim %s:\n", cmd)
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
+	} else {
+		fmt.Fprintln(os.Stderr, usage)
 	}
-	opts := reportOpts{seed: *seed, runtime: *runtime_, jitter: *jitter,
-		verbose: *verbose, dotPath: *dotOut,
-		spansPath: *spansOut, spansFormat: *spansFmt, probeInterval: *probeInt,
-		showMetrics: *metOut, metricsFormat: *metFmt,
-		faults: cfg.spec, faultsSeed: fseed, reliable: *reliab, rto: *rto,
-		adaptiveRTO: *adaptRTO, det: cfg.det, workers: *workers,
-		churn: cfg.churn, repairRounds: *repairK, shedDepth: *shedD,
-		sched: cfg.sched}
+	os.Exit(0)
+}
 
-	if *workload != "" {
-		runWorkloadFile(*workload, opts)
-		return
+// loadSystem reads the -workload file or generates the workload, and
+// prints the report's header.
+func loadSystem(o options) *pref.System {
+	if o.workloadPath != "" {
+		f, err := os.Open(o.workloadPath)
+		if err != nil {
+			fail("%v", err)
+		}
+		defer f.Close()
+		sys, err := pref.ReadJSON(f)
+		if err != nil {
+			fail("%v", err)
+		}
+		g := sys.Graph()
+		fmt.Printf("workload %s: n=%d m=%d, avg degree %.2f\n",
+			o.workloadPath, g.NumNodes(), g.NumEdges(), g.AvgDegree())
+		return sys
 	}
 
-	src := rng.New(*seed)
+	src := rng.New(o.seed)
 	var g *graph.Graph
 	var coords [][2]float64
-	switch *topology {
+	switch o.topology {
 	case "gnp":
-		g = gen.GNP(src.Split(), *n, *p)
+		g = gen.GNP(src.Split(), o.n, o.p)
 	case "geometric":
-		g, coords = gen.Geometric(src.Split(), *n, *radius)
+		g, coords = gen.Geometric(src.Split(), o.n, o.radius)
 	case "ba":
-		g = gen.BarabasiAlbert(src.Split(), *n, *mAttach)
+		g = gen.BarabasiAlbert(src.Split(), o.n, o.mAttach)
 	case "ws":
-		g = gen.WattsStrogatz(src.Split(), *n, *k, *beta)
+		g = gen.WattsStrogatz(src.Split(), o.n, o.k, o.beta)
 	case "ring":
-		g = gen.Ring(*n)
+		g = gen.Ring(o.n)
 	case "grid":
-		cols := (*n + *rows - 1) / *rows
-		g = gen.Grid(*rows, cols)
+		cols := (o.n + o.rows - 1) / o.rows
+		g = gen.Grid(o.rows, cols)
 	case "complete":
-		g = gen.Complete(*n)
+		g = gen.Complete(o.n)
 	case "tree":
-		g = gen.RandomTree(src.Split(), *n)
+		g = gen.RandomTree(src.Split(), o.n)
 	default:
-		fail("unknown topology %q", *topology)
+		fail("unknown topology %q", o.topology)
 	}
 
 	var m pref.Metric
-	switch *metric {
+	switch o.metric {
 	case "random":
 		m = pref.NewRandomMetric(src.Split())
 	case "symmetric":
@@ -199,51 +168,17 @@ func main() {
 		}
 		m = pref.TransactionMetric{History: hist}
 	default:
-		fail("unknown metric %q", *metric)
+		fail("unknown metric %q", o.metric)
 	}
 
-	sys, err := pref.Build(g, m, pref.UniformQuota(*quota))
+	sys, err := pref.Build(g, m, pref.UniformQuota(o.quota))
 	if err != nil {
 		fail("building preferences: %v", err)
 	}
 	fmt.Printf("overlay: %s, n=%d m=%d, avg degree %.2f (min %d, max %d)\n",
-		*topology, g.NumNodes(), g.NumEdges(), g.AvgDegree(), g.MinDegree(), g.MaxDegree())
-	fmt.Printf("preferences: metric=%s, quota b=%d\n", *metric, *quota)
-	runAndReport(sys, opts)
-}
-
-// reportOpts carries the run/report configuration.
-type reportOpts struct {
-	seed          uint64
-	runtime       string
-	jitter        float64
-	verbose       bool
-	dotPath       string
-	spansPath     string
-	spansFormat   string  // ndjson | chrome | tree
-	probeInterval float64 // 0 = probing off
-	showMetrics   bool
-	metricsFormat string // text | json | prom
-	faults        faults.Spec
-	faultsSeed    uint64
-	reliable      bool
-	rto           float64
-	adaptiveRTO   bool
-	det           detector.Config
-	workers       int
-	churn         dynamic.ChurnSpec
-	repairRounds  int
-	shedDepth     int
-	sched         lid.SchedulerSpec
-}
-
-// policy returns the run's fault-injection policy (nil when -faults is
-// off, keeping the run byte-identical to earlier releases).
-func (o reportOpts) policy() simnet.LinkPolicy {
-	if o.faults.IsZero() {
-		return nil
-	}
-	return faults.NewInjector(o.faults, o.faultsSeed)
+		o.topology, g.NumNodes(), g.NumEdges(), g.AvgDegree(), g.MinDegree(), g.MaxDegree())
+	fmt.Printf("preferences: metric=%s, quota b=%d\n", o.metric, o.quota)
+	return sys
 }
 
 // runReplayFile re-executes a frozen fault replay (faults.ReplayFile)
@@ -287,244 +222,32 @@ func runReplayFile(path string) {
 	}
 }
 
-// runWorkloadFile loads a frozen workload and simulates it.
-func runWorkloadFile(path string, opts reportOpts) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer f.Close()
-	sys, err := pref.ReadJSON(f)
-	if err != nil {
-		fail("%v", err)
-	}
-	g := sys.Graph()
-	fmt.Printf("workload %s: n=%d m=%d, avg degree %.2f\n",
-		path, g.NumNodes(), g.NumEdges(), g.AvgDegree())
-	runAndReport(sys, opts)
-}
-
-// runAndReport executes the selected runtime and prints the report.
-func runAndReport(sys *pref.System, opts reportOpts) {
-	if !opts.churn.IsZero() {
-		runChurnReport(sys, opts)
+// runAndReport runs subcommand cmd on sys and prints the report.
+func runAndReport(cmd string, sys *pref.System, o options) {
+	if cmd == "churn" {
+		runChurnReport(sys, o)
 		return
 	}
-	seed, runtime_, jitter, verbose := opts.seed, opts.runtime, opts.jitter, opts.verbose
 	g := sys.Graph()
-	tbl := satisfaction.NewTableParallel(sys, opts.workers)
+	tbl := satisfaction.NewTableParallel(sys, o.workers)
 	var reg *metrics.Registry
-	if opts.showMetrics {
+	if o.showMetrics {
 		reg = metrics.New()
 	}
 	var rec *obs.Recorder
-	if opts.spansPath != "" {
+	if o.spansPath != "" {
 		rec = obs.NewRecorder(g.NumNodes())
 	}
-	// The probe series need a registry even when -metrics is off; a
-	// private one keeps the report output unchanged in that case.
-	var prober *obs.Prober
-	probeReg := reg
-	if opts.probeInterval > 0 && probeReg == nil {
-		probeReg = metrics.New()
-	}
 	fmt.Printf("acyclic=%v; guarantee: LID achieves >= %.4f of optimal total satisfaction (Theorem 3)\n\n",
-		pref.IsAcyclic(sys), satisfaction.Theorem3Bound(maxInt(sys.MaxQuota(), 1)))
-
-	policy := opts.policy()
-	var inj *faults.Injector
-	if in, ok := policy.(*faults.Injector); ok {
-		inj = in
-	}
-	var eps []*reliable.Endpoint
-	var mons []*detector.Monitor
-	// wrap stacks the optional layers inside-out: transport below the
-	// failure detector, mirroring dlid.RunSelfHeal.
-	wrap := func(handlers []simnet.Handler) []simnet.Handler {
-		if opts.reliable {
-			eps = reliable.WrapConfig(handlers, reliable.Config{RTO: opts.rto, Adaptive: opts.adaptiveRTO})
-			handlers = reliable.Handlers(eps)
-		}
-		if opts.det.Enabled() {
-			adj := make([][]int, g.NumNodes())
-			for i := range adj {
-				adj[i] = g.Neighbors(i)
-			}
-			mons = detector.Wrap(handlers, adj, opts.det)
-			handlers = detector.Handlers(mons)
-		}
-		return handlers
-	}
-	reportFaults := func(st simnet.Stats) {
-		if inj != nil {
-			fmt.Printf("  faults: %s -> %d injections over %d sends\n",
-				opts.faults, len(inj.Events()), inj.Sends())
-		}
-		if eps != nil {
-			reliable.PublishMetrics(reg, eps)
-			mode := "static"
-			if opts.adaptiveRTO {
-				mode = "adaptive"
-			}
-			fmt.Printf("  transport: rto %.1f (%s), %d retransmits, %d duplicates suppressed, %d corrupt discarded\n",
-				opts.rto, mode, reliable.TotalRetransmits(eps), reliable.TotalDuplicates(eps), reliable.TotalCorrupted(eps))
-		}
-		if mons != nil {
-			detector.PublishMetrics(reg, mons)
-			fmt.Printf("  detector: %s -> %d suspicions, %d restores (%d HB, %d HB-ACK)\n",
-				opts.det, detector.TotalSuspicions(mons), detector.TotalRestores(mons),
-				st.SentByKind["HB"], st.SentByKind["HB-ACK"])
-		}
-		_ = st
-	}
+		pref.IsAcyclic(sys), satisfaction.Theorem3Bound(max(sys.MaxQuota(), 1)))
 
 	var result *matching.Matching
-	start := time.Now()
-	switch runtime_ {
-	case "event":
-		var st simnet.Stats
-		ropts := simnet.Options{
-			Seed:    seed,
-			Latency: latency(jitter),
-			Metrics: reg,
-			Policy:  policy,
-			Obs:     rec,
-		}
-		if opts.reliable || opts.det.Enabled() {
-			nodes := lid.NewNodes(sys, tbl)
-			if opts.sched.Greedy() {
-				// The admitter watches the LID state machines directly, so
-				// the reliable/detector wrapping stays transparent to it.
-				ropts.Admitter = lid.NewGreedyAdmitter(sys, tbl, nodes, opts.sched)
-			}
-			// The sampler closes over the runner (for the cumulative send
-			// totals), which does not exist until after the options are
-			// final — hence the two-step wiring, mirroring RunEventProbed.
-			var runner *simnet.Runner
-			if opts.probeInterval > 0 {
-				optimum := matching.LIC(sys, tbl).Weight(sys)
-				sampler := lid.StabilitySampler(sys, tbl, nodes, func() (int64, int64) {
-					return runner.SentTotals()
-				})
-				prober = obs.NewProber(probeReg, opts.probeInterval, g.NumEdges(), optimum, sampler)
-				ropts.Probe = prober.Probe
-				ropts.ProbeInterval = opts.probeInterval
-			}
-			runner = simnet.NewRunner(g.NumNodes(), ropts)
-			s, err := runner.Run(wrap(lid.Handlers(nodes)))
-			if err != nil {
-				fail("run: %v", err)
-			}
-			prober.PublishSummary(probeReg, nil)
-			m, err := lid.BuildMatching(nodes)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = m, s
-		} else if opts.probeInterval > 0 {
-			res, p, err := lid.RunEventProbedScheduled(sys, tbl, ropts, opts.probeInterval, probeReg, opts.sched)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			prober = p
-			result, st = res.Matching, res.Stats
-		} else {
-			res, err := lid.RunEventScheduled(sys, tbl, ropts, opts.sched)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = res.Matching, res.Stats
-		}
-		fmt.Printf("distributed run (event simulator, jitter %.1f, scheduler %s): %v\n",
-			jitter, opts.sched, time.Since(start))
-		fmt.Printf("  messages: %d total (%d PROP, %d REJ), %.2f per peer, max %d\n",
-			st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"],
-			float64(st.TotalSent())/float64(g.NumNodes()), st.MaxSentByNode())
-		fmt.Printf("  virtual time to quiescence: %.2f\n", st.FinalTime)
-		if prober != nil {
-			s := prober.RoundsToEps(nil)
-			fmt.Printf("  stability: %d probes every %.1f; rounds to eps 0.1/0.01/0.001/0: %.0f / %.0f / %.0f / %.0f (-1 = never)\n",
-				len(prober.Curve()), opts.probeInterval,
-				s[obs.EpsKey(0.1)], s[obs.EpsKey(0.01)], s[obs.EpsKey(0.001)], s[obs.EpsKey(0)])
-		}
-		reportFaults(st)
-	case "goroutine":
-		var st simnet.Stats
-		if opts.reliable || opts.det.Enabled() {
-			nodes := lid.NewNodes(sys, tbl)
-			runner := simnet.NewGoRunner(g.NumNodes(), 2*time.Minute)
-			if reg != nil {
-				runner.SetMetricsSink(reg)
-			}
-			if policy != nil {
-				runner.SetPolicy(policy)
-			}
-			if rec != nil {
-				runner.SetObserver(rec)
-			}
-			s, err := runner.Run(wrap(lid.Handlers(nodes)))
-			if err != nil {
-				fail("run: %v", err)
-			}
-			m, err := lid.BuildMatching(nodes)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = m, s
-		} else {
-			res, err := lid.RunGoroutinesOpts(sys, tbl, lid.GoOptions{
-				Timeout: 2 * time.Minute,
-				Metrics: reg,
-				Policy:  policy,
-				Obs:     rec,
-			})
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = res.Matching, res.Stats
-		}
-		fmt.Printf("distributed run (goroutines): %v\n", time.Since(start))
-		fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
-			st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
-		reportFaults(st)
-	case "udp":
-		// Real loopback sockets via internal/transport: the same wrapped
-		// stack, with every message crossing the kernel as coalesced UDP
-		// datagrams instead of simulator deliveries.
-		nodes := lid.NewNodes(sys, tbl)
-		cluster, err := transport.NewLoopbackCluster(g.NumNodes(), transport.ClusterConfig{})
-		if err != nil {
-			fail("run: %v", err)
-		}
-		st, err := cluster.Run(wrap(lid.Handlers(nodes)))
-		if err != nil {
-			fail("run: %v", err)
-		}
-		m, err := lid.BuildMatching(nodes)
-		if err != nil {
-			fail("run: %v", err)
-		}
-		result = m
-		var datagrams, bytesOut int64
-		for _, nd := range cluster.Nodes() {
-			c := nd.Counters()
-			datagrams += c.DatagramsSent
-			bytesOut += c.BytesSent
-			if reg != nil {
-				nd.PublishMetrics(reg)
-			}
-		}
-		fmt.Printf("distributed run (udp loopback cluster): %v\n", time.Since(start))
-		fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
-			st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
-		fmt.Printf("  wire: %d frames coalesced into %d datagrams, %d bytes, %d dropped\n",
-			st.TotalSent(), datagrams, bytesOut, st.Dropped)
-		reportFaults(st)
-	case "centralized":
+	if cmd == "lic" {
+		start := time.Now()
 		result = matching.LIC(sys, tbl)
 		fmt.Printf("centralized run (LIC scan): %v\n", time.Since(start))
-	default:
-		fail("unknown runtime %q", runtime_)
+	} else {
+		result = runLID(cmd, sys, tbl, o, reg, rec)
 	}
 
 	per := result.PerNodeSatisfaction(sys)
@@ -534,31 +257,185 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 	fmt.Printf("satisfaction: total %.4f, mean %.4f, min %.4f, median %.4f, fairness %.4f\n",
 		result.TotalSatisfaction(sys), sum.Mean, sum.Min, sum.Median, stats.JainFairness(per))
 
-	if verbose {
+	if o.verbose {
 		fmt.Println("\nper-peer connections:")
 		for i := 0; i < g.NumNodes(); i++ {
 			fmt.Printf("  %4d (b=%d, S=%.3f): %v\n", i, sys.Quota(i), per[i], result.Connections(i))
 		}
 	}
 
-	if opts.dotPath != "" {
-		writeFileWith(opts.dotPath, func(w io.Writer) error {
+	if o.dotPath != "" {
+		writeFileWith(o.dotPath, func(w io.Writer) error {
 			return writeDOT(w, sys, result)
 		})
-		fmt.Printf("wrote Graphviz overlay to %s\n", opts.dotPath)
+		fmt.Printf("wrote Graphviz overlay to %s\n", o.dotPath)
 	}
-	if opts.spansPath != "" {
-		writeFileWith(opts.spansPath, func(w io.Writer) error {
-			return rec.WriteFormat(w, opts.spansFormat)
+	if rec != nil {
+		writeFileWith(o.spansPath, func(w io.Writer) error {
+			return rec.WriteFormat(w, o.spansFormat)
 		})
 		fmt.Printf("wrote span trace (%s, %d events) to %s\n",
-			opts.spansFormat, rec.Len(), opts.spansPath)
+			o.spansFormat, rec.Len(), o.spansPath)
 	}
 	if reg != nil {
 		fmt.Println("\nmetrics:")
-		if err := reg.Snapshot().WriteFormat(os.Stdout, opts.metricsFormat); err != nil {
+		if err := reg.Snapshot().WriteFormat(os.Stdout, o.metricsFormat); err != nil {
 			fail("metrics: %v", err)
 		}
+	}
+}
+
+// runLID runs LID on the runtime of subcommand cmd (event, goroutine
+// or udp) and prints the run's section of the report. Every runtime
+// takes one path: the nodes, the optional layers, the runtime's Run
+// method, and lid.Finish, which publishes the lid_* counters into reg.
+func runLID(cmd string, sys *pref.System, tbl *satisfaction.Table, o options, reg *metrics.Registry, rec *obs.Recorder) *matching.Matching {
+	g := sys.Graph()
+	n := g.NumNodes()
+	layers := stack{o: o}
+	if !o.faults.IsZero() {
+		layers.policy = faults.NewInjector(o.faults, o.faultsSeed)
+	}
+	start := time.Now()
+	nodes := lid.NewNodes(sys, tbl)
+
+	var run func([]simnet.Handler) (simnet.Stats, error)
+	var prober *obs.Prober
+	var cluster *transport.Cluster
+	var label string
+	switch cmd {
+	case "event":
+		label = fmt.Sprintf("event simulator, jitter %.1f, scheduler %s", o.jitter, o.sched)
+		ropts := simnet.Options{Seed: o.seed, Latency: latency(o.jitter), Metrics: reg, Policy: layers.policy, Obs: rec}
+		if o.sched.Greedy() {
+			// The admitter watches the LID state machines directly, so
+			// the optional layers stay transparent to it.
+			ropts.Admitter = lid.NewGreedyAdmitter(sys, tbl, nodes, o.sched)
+		}
+		// The sampler closes over the runner (for the cumulative send
+		// totals), which does not exist until the options are final.
+		var runner *simnet.Runner
+		if o.probeInterval > 0 {
+			optimum := matching.LIC(sys, tbl).Weight(sys)
+			sampler := lid.StabilitySampler(sys, tbl, nodes, func() (int64, int64) {
+				return runner.SentTotals()
+			})
+			// A private registry when -metrics is off keeps the probe
+			// series out of the report.
+			prober = obs.NewProber(cmp.Or(reg, metrics.New()), o.probeInterval, g.NumEdges(), optimum, sampler)
+			ropts.Probe = prober.Probe
+			ropts.ProbeInterval = o.probeInterval
+		}
+		runner = simnet.NewRunner(n, ropts)
+		run = runner.Run
+	case "goroutine":
+		label = "goroutines"
+		runner := simnet.NewGoRunner(n, 2*time.Minute)
+		runner.SetMetricsSink(reg)
+		runner.SetPolicy(layers.policy)
+		runner.SetObserver(rec)
+		run = runner.Run
+	case "udp":
+		// Real loopback sockets: every message crosses the kernel as
+		// coalesced UDP datagrams.
+		label = "udp loopback cluster"
+		var err error
+		if cluster, err = transport.NewLoopbackCluster(n, transport.ClusterConfig{}); err != nil {
+			fail("run: %v", err)
+		}
+		run = cluster.Run
+	}
+
+	st, err := run(layers.wrap(g, lid.Handlers(nodes)))
+	if err != nil {
+		fail("run: %v", err)
+	}
+	res, err := lid.Finish(nodes, st, reg)
+	if err != nil {
+		fail("run: %v", err)
+	}
+	fmt.Printf("distributed run (%s): %v\n", label, time.Since(start))
+	if cmd != "event" {
+		fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n", st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
+	} else {
+		fmt.Printf("  messages: %d total (%d PROP, %d REJ), %.2f per peer, max %d\n",
+			st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"],
+			float64(st.TotalSent())/float64(n), st.MaxSentByNode())
+		fmt.Printf("  virtual time to quiescence: %.2f\n", st.FinalTime)
+	}
+	if prober != nil {
+		prober.PublishSummary(reg, nil)
+		eps := prober.RoundsToEps(nil)
+		fmt.Printf("  stability: %d probes every %.1f; rounds to eps 0.1/0.01/0.001/0: %.0f / %.0f / %.0f / %.0f (-1 = never)\n",
+			len(prober.Curve()), o.probeInterval,
+			eps[obs.EpsKey(0.1)], eps[obs.EpsKey(0.01)], eps[obs.EpsKey(0.001)], eps[obs.EpsKey(0)])
+	}
+	if cluster != nil {
+		var datagrams, bytesOut int64
+		for _, nd := range cluster.Nodes() {
+			c := nd.Counters()
+			datagrams += c.DatagramsSent
+			bytesOut += c.BytesSent
+			if reg != nil {
+				nd.PublishMetrics(reg)
+			}
+		}
+		fmt.Printf("  wire: %d frames coalesced into %d datagrams, %d bytes, %d dropped\n",
+			st.TotalSent(), datagrams, bytesOut, st.Dropped)
+	}
+	layers.report(st, reg)
+	return res.Matching
+}
+
+// stack is what sits between LID and the runtime: the fault policy on
+// the links and the optional layers around the handlers. With none of
+// them on, wrap is the identity and report prints nothing.
+type stack struct {
+	o      options
+	policy simnet.LinkPolicy // nil when -faults is off: no policy at all
+	eps    []*reliable.Endpoint
+	mons   []*detector.Monitor
+}
+
+// wrap stacks the optional layers inside-out: the reliable transport
+// below the failure detector, mirroring dlid.RunSelfHeal.
+func (s *stack) wrap(g *graph.Graph, handlers []simnet.Handler) []simnet.Handler {
+	if s.o.reliable {
+		s.eps = reliable.WrapConfig(handlers, reliable.Config{RTO: s.o.rto, Adaptive: s.o.adaptiveRTO})
+		handlers = reliable.Handlers(s.eps)
+	}
+	if s.o.det.Enabled() {
+		adj := make([][]int, g.NumNodes())
+		for i := range adj {
+			adj[i] = g.Neighbors(i)
+		}
+		s.mons = detector.Wrap(handlers, adj, s.o.det)
+		handlers = detector.Handlers(s.mons)
+	}
+	return handlers
+}
+
+// report prints the fault and layer lines of the report and publishes
+// the layers' metrics into reg.
+func (s *stack) report(st simnet.Stats, reg *metrics.Registry) {
+	if inj, ok := s.policy.(*faults.Injector); ok {
+		fmt.Printf("  faults: %s -> %d injections over %d sends\n",
+			s.o.faults, len(inj.Events()), inj.Sends())
+	}
+	if s.eps != nil {
+		reliable.PublishMetrics(reg, s.eps)
+		mode := "static"
+		if s.o.adaptiveRTO {
+			mode = "adaptive"
+		}
+		fmt.Printf("  transport: rto %.1f (%s), %d retransmits, %d duplicates suppressed, %d corrupt discarded\n",
+			s.o.rto, mode, reliable.TotalRetransmits(s.eps), reliable.TotalDuplicates(s.eps), reliable.TotalCorrupted(s.eps))
+	}
+	if s.mons != nil {
+		detector.PublishMetrics(reg, s.mons)
+		fmt.Printf("  detector: %s -> %d suspicions, %d restores (%d HB, %d HB-ACK)\n",
+			s.o.det, detector.TotalSuspicions(s.mons), detector.TotalRestores(s.mons),
+			st.SentByKind["HB"], st.SentByKind["HB-ACK"])
 	}
 }
 
@@ -591,13 +468,6 @@ func fill(s *pref.System, m *matching.Matching) float64 {
 		return 1
 	}
 	return float64(used) / float64(want)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fail(format string, args ...interface{}) {

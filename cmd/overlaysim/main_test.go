@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"overlaymatch/internal/faults"
@@ -41,26 +43,72 @@ func TestFillHelper(t *testing.T) {
 	}
 }
 
-func TestMaxInt(t *testing.T) {
-	if maxInt(2, 5) != 5 || maxInt(5, 2) != 5 || maxInt(-1, -2) != -1 {
-		t.Fatal("maxInt wrong")
+// run parses args as the command line and runs it on the test
+// system, the way main does once the workload is loaded.
+func run(t *testing.T, args ...string) {
+	t.Helper()
+	cmd, o, err := parseArgs(args)
+	if err != nil {
+		t.Fatalf("%q: %v", args, err)
 	}
+	runAndReport(cmd, testSystem(t), o)
+}
+
+// capture returns what fn prints to stdout.
+func capture(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	defer func() {
+		os.Stdout = stdout
+	}()
+	fn()
+	w.Close()
+	return string(<-out)
 }
 
 func TestRunAndReportAllRuntimes(t *testing.T) {
-	s := testSystem(t)
-	for _, rt := range []string{"event", "goroutine", "centralized"} {
-		runAndReport(s, reportOpts{seed: 1, runtime: rt, jitter: 2})
+	for _, cmd := range []string{"event", "goroutine", "udp", "lic"} {
+		run(t, cmd, "-seed", "1")
+	}
+	run(t, "event", "-seed", "1", "-jitter", "2")
+}
+
+// TestLIDCountersOnEveryPath: every LID run publishes the lid_*
+// protocol counters under -metrics, whichever runtime carried it and
+// whichever layers wrap it.
+func TestLIDCountersOnEveryPath(t *testing.T) {
+	for _, args := range [][]string{
+		{"event"},
+		{"event", "-reliable", "-detector", "on"},
+		{"goroutine"},
+		{"goroutine", "-reliable", "-detector", "on"},
+		{"udp"},
+	} {
+		out := capture(t, func() { run(t, append(args, "-seed", "3", "-metrics")...) })
+		for _, name := range []string{"lid_prop_total", "lid_runs_total"} {
+			if !strings.Contains(out, name) {
+				t.Errorf("%q -metrics: no %s in the snapshot", args, name)
+			}
+		}
 	}
 }
 
 func TestRunAndReportArtifacts(t *testing.T) {
-	s := testSystem(t)
 	dir := t.TempDir()
 	dot := filepath.Join(dir, "overlay.dot")
 	spans := filepath.Join(dir, "spans.tree")
-	runAndReport(s, reportOpts{seed: 2, runtime: "event", jitter: 1,
-		verbose: true, dotPath: dot, spansPath: spans, spansFormat: "tree"})
+	run(t, "event", "-seed", "2", "-jitter", "1", "-v", "-dot", dot,
+		"-trace-spans", spans, "-trace-spans-format", "tree")
 	dotData, err := os.ReadFile(dot)
 	if err != nil {
 		t.Fatal(err)
@@ -77,14 +125,13 @@ func TestRunAndReportArtifacts(t *testing.T) {
 	}
 }
 
-// spanRecords runs the report with -trace-spans in NDJSON and returns
-// the decoded records.
-func spanRecords(t *testing.T, opts reportOpts) []map[string]any {
+// spanRecords runs the command line args with -trace-spans in NDJSON
+// and returns the decoded records.
+func spanRecords(t *testing.T, args ...string) []map[string]any {
 	t.Helper()
-	opts.spansPath = filepath.Join(t.TempDir(), "spans.ndjson")
-	opts.spansFormat = "ndjson"
-	runAndReport(testSystem(t), opts)
-	data, err := os.ReadFile(opts.spansPath)
+	path := filepath.Join(t.TempDir(), "spans.ndjson")
+	run(t, append(args, "-trace-spans", path, "-trace-spans-format", "ndjson")...)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +151,7 @@ func spanRecords(t *testing.T, opts reportOpts) []map[string]any {
 // not only the event runtime's.
 func TestTraceLogOnGoroutineRuntime(t *testing.T) {
 	props := 0
-	for _, rec := range spanRecords(t, reportOpts{seed: 4, runtime: "goroutine"}) {
+	for _, rec := range spanRecords(t, "goroutine", "-seed", "4") {
 		if rec["type"] == "deliver" && rec["kind"] == "PROP" {
 			props++
 		}
@@ -117,7 +164,7 @@ func TestTraceLogOnGoroutineRuntime(t *testing.T) {
 // TestTraceNDJSONFormat: -trace-spans-format ndjson writes one record
 // per line with a record-order sequence number.
 func TestTraceNDJSONFormat(t *testing.T) {
-	recs := spanRecords(t, reportOpts{seed: 5, runtime: "event", jitter: 1})
+	recs := spanRecords(t, "event", "-seed", "5", "-jitter", "1")
 	if len(recs) == 0 {
 		t.Fatal("empty span trace")
 	}
@@ -129,11 +176,9 @@ func TestTraceNDJSONFormat(t *testing.T) {
 }
 
 func TestRunAndReportWithMetrics(t *testing.T) {
-	s := testSystem(t)
-	for _, rt := range []string{"event", "goroutine"} {
+	for _, cmd := range []string{"event", "goroutine"} {
 		for _, format := range []string{"text", "json", "prom"} {
-			runAndReport(s, reportOpts{seed: 6, runtime: rt, jitter: 1,
-				showMetrics: true, metricsFormat: format})
+			run(t, cmd, "-seed", "6", "-metrics", "-metrics-format", format)
 		}
 	}
 }
@@ -150,31 +195,25 @@ func TestRunWorkloadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	runWorkloadFile(path, reportOpts{seed: 3, runtime: "centralized"})
+	cmd, o, err := parseArgs([]string{"lic", "-seed", "3", "-workload", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAndReport(cmd, loadSystem(o), o)
 }
 
 func TestRunAndReportWithFaults(t *testing.T) {
-	s := testSystem(t)
-	spec, err := faults.Parse("drop=0.1,dup=0.05,corrupt=0.03,delay=0.1,delayscale=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rt := range []string{"event", "goroutine"} {
-		runAndReport(s, reportOpts{seed: 4, runtime: rt, jitter: 1,
-			faults: spec, faultsSeed: 99, reliable: true, rto: 30})
+	for _, cmd := range []string{"event", "goroutine"} {
+		run(t, cmd, "-seed", "4", "-faults", "drop=0.1,dup=0.05,corrupt=0.03,delay=0.1,delayscale=4",
+			"-faults-seed", "99", "-reliable")
 	}
 	// Delivery-preserving faults on bare LID, no transport.
-	delayOnly, err := faults.Parse("delay=0.3,delayscale=8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runAndReport(s, reportOpts{seed: 4, runtime: "event", jitter: 1,
-		faults: delayOnly, faultsSeed: 7})
+	run(t, "event", "-seed", "4", "-jitter", "1", "-faults", "delay=0.3,delayscale=8", "-faults-seed", "7")
 }
 
 func TestRunReplayFile(t *testing.T) {
 	// Freeze a real violation (bare LID under duplication) and drive
-	// the -replay path with it.
+	// the replay subcommand with it.
 	w := faults.WorkloadSpec{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 9}
 	sys, err := w.Build()
 	if err != nil {
@@ -205,5 +244,9 @@ func TestRunReplayFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	runReplayFile(path) // exits non-zero if the violation fails to reproduce
+	cmd, o, err := parseArgs([]string{"replay", path})
+	if err != nil || cmd != "replay" || o.replayPath != path {
+		t.Fatalf("replay %s parsed as %q %q, %v", path, cmd, o.replayPath, err)
+	}
+	runReplayFile(o.replayPath) // exits non-zero if the violation fails to reproduce
 }

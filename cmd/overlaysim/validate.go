@@ -1,194 +1,78 @@
 package main
 
 import (
+	"cmp"
+	"errors"
+	"flag"
 	"fmt"
+	"slices"
+	"strings"
 
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/dynamic"
-	"overlaymatch/internal/faults"
-	"overlaymatch/internal/lid"
 )
 
-// cliFlags is the raw cross-checkable flag surface of overlaysim —
-// everything whose validity depends on another flag. Keeping the
-// checks in one pure function makes the interaction matrix testable:
-// the PR 10 audit found -churn silently ignoring -runtime (the engine
-// ran regardless, most confusingly under -runtime udp, which opens
-// real sockets for a run that never uses them), where every other
-// simulator-only hook already errored explicitly.
-type cliFlags struct {
-	runtime      string
-	rto          float64
-	adaptiveRTO  bool
-	reliable     bool
-	hbInterval   float64
-	phiThreshold float64
-	detector     string
-	faults       string
-	traceSpans   string
-	spansFormat  string
-	dot          string
-	metrics      bool
-	metricsFmt   string
-	probeInt     float64
-	churn        string
-	repairRounds int
-	shedDepth    int
-	scheduler    string
+// check takes the positional arguments and makes the value checks that
+// read more than one flag of subcommand cmd.
+func (o *options) check(cmd string, args []string) error {
+	switch {
+	case cmd == "replay" && len(args) == 1:
+		o.replayPath = args[0]
+		return nil
+	case cmd == "replay":
+		return errors.New("replay takes one FILE argument")
+	case cmd == "churn" && len(args) != 1:
+		return errors.New(`churn takes one SPEC argument, e.g. "events=200,leave=0.5,minalive=8,rate=2"`)
+	case cmd == "churn" && (o.repairRounds < 0 || o.shedDepth < 0):
+		return errors.New("-repair-rounds and -shed-depth must be non-negative")
+	case cmd == "churn":
+		spec, err := dynamic.ParseChurnSpec(args[0])
+		if err == nil && spec.IsZero() {
+			err = fmt.Errorf("churn SPEC %q schedules no events", args[0])
+		}
+		o.churn = spec
+		return err
+	case len(args) > 0:
+		return fmt.Errorf("unexpected argument %q", args[0])
+	case cmd == "lic":
+		return nil
+	case o.rto <= 0:
+		return fmt.Errorf("-rto must be positive, got %v (the retransmission timer would never fire)", o.rto)
+	case o.adaptiveRTO && !o.reliable:
+		return errors.New("-adaptive-rto tunes the retransmission timer and needs -reliable")
+	case !o.faults.PreservesDelivery() && !o.reliable:
+		return fmt.Errorf("-faults %q loses messages; bare LID needs -reliable to survive it", o.faults)
+	case o.probeInterval < 0:
+		return errors.New("-probe-interval must be non-negative")
+	case o.hbInterval < 0 || o.phiThreshold < 0:
+		return errors.New("-hb-interval and -phi-threshold must be non-negative")
+	}
+	if o.hbInterval > 0 || o.phiThreshold > 0 {
+		if !o.det.Enabled() {
+			o.det = detector.Default()
+		}
+		o.det.Interval = cmp.Or(o.hbInterval, o.det.Interval)
+		o.det.Phi = cmp.Or(o.phiThreshold, o.det.Phi)
+		if err := o.det.Validate(); err != nil {
+			return err
+		}
+	}
+	if o.faultsSeed == 0 {
+		o.faultsSeed = o.seed ^ 0x5fa715ca11edc0de
+	}
+	return nil
 }
 
-// runConfig is the parsed outcome of validateFlags.
-type runConfig struct {
-	det   detector.Config
-	spec  faults.Spec
-	churn dynamic.ChurnSpec
-	sched lid.SchedulerSpec
-}
-
-// validateFlags parses the structured flags and rejects every
-// unsupported flag interaction with an explicit error. The rule for
-// simulator-only hooks (-faults, -probe-interval, -trace-spans,
-// -churn, -scheduler greedy, -detector, -reliable) is
-// uniform: a runtime that cannot honor the hook fails loudly instead
-// of silently ignoring it.
-func validateFlags(f cliFlags) (runConfig, error) {
-	var cfg runConfig
-
-	switch f.runtime {
-	case "event", "goroutine", "centralized", "udp":
-	default:
-		return cfg, fmt.Errorf("unknown runtime %q", f.runtime)
-	}
-	switch f.spansFormat {
-	case "ndjson", "chrome", "tree":
-	default:
-		return cfg, fmt.Errorf("unknown -trace-spans-format %q", f.spansFormat)
-	}
-	switch f.metricsFmt {
-	case "text", "json", "prom":
-	default:
-		return cfg, fmt.Errorf("unknown -metrics-format %q", f.metricsFmt)
-	}
-
-	if f.rto <= 0 {
-		return cfg, fmt.Errorf("-rto must be positive, got %v (the retransmission timer would never fire)", f.rto)
-	}
-	if f.adaptiveRTO && !f.reliable {
-		return cfg, fmt.Errorf("-adaptive-rto tunes the retransmission timer and needs -reliable")
-	}
-	if f.hbInterval < 0 || f.phiThreshold < 0 {
-		return cfg, fmt.Errorf("-hb-interval and -phi-threshold must be positive")
-	}
-	det, err := detector.Parse(f.detector)
-	if err != nil {
-		return cfg, err
-	}
-	if f.hbInterval > 0 || f.phiThreshold > 0 {
-		if !det.Enabled() {
-			det = detector.Default()
+// choice registers a string flag restricted to choices, so a bad value
+// fails in flag parsing. The first choice is the default.
+func choice(fs *flag.FlagSet, p *string, name, usage string, choices ...string) {
+	*p = choices[0]
+	all := strings.Join(choices, " | ")
+	fs.Func(name, fmt.Sprintf("%s: %s (default %s)", usage, all, choices[0]), func(s string) error {
+		if !slices.Contains(choices, s) {
+			return fmt.Errorf("want %s", all)
 		}
-		if f.hbInterval > 0 {
-			det.Interval = f.hbInterval
-		}
-		if f.phiThreshold > 0 {
-			det.Phi = f.phiThreshold
-		}
-		if err := det.Validate(); err != nil {
-			return cfg, err
-		}
-	}
-	cfg.det = det
-
-	spec, err := faults.Parse(f.faults)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.spec = spec
-	if !spec.PreservesDelivery() && !f.reliable {
-		return cfg, fmt.Errorf("-faults %q loses messages; bare LID needs -reliable to survive it", f.faults)
-	}
-	if f.runtime == "centralized" && (!spec.IsZero() || f.reliable || det.Enabled()) {
-		return cfg, fmt.Errorf("-faults/-reliable/-detector require a distributed runtime (event or goroutine)")
-	}
-	// The churn checks come before the udp ones: -churn plus -runtime
-	// udp must name the real contradiction (the engine uses no runtime
-	// at all), not demand -reliable for a cluster that never starts.
-	churnSpec, err := dynamic.ParseChurnSpec(f.churn)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.churn = churnSpec
-	if f.repairRounds < 0 || f.shedDepth < 0 {
-		return cfg, fmt.Errorf("-repair-rounds and -shed-depth must be non-negative")
-	}
-	if churnSpec.IsZero() && (f.repairRounds > 0 || f.shedDepth > 0) {
-		return cfg, fmt.Errorf("-repair-rounds and -shed-depth configure the churn engine; they need -churn")
-	}
-	if !churnSpec.IsZero() {
-		if !spec.IsZero() || f.reliable || det.Enabled() {
-			return cfg, fmt.Errorf("-churn runs the incremental repair engine, not the distributed sim; it is incompatible with -faults/-reliable/-detector")
-		}
-		// The engine replaces the distributed simulation entirely. It
-		// used to ignore -runtime — silently on goroutine/centralized,
-		// and under udp while still demanding -reliable, which churn
-		// rejects. Now any non-default runtime fails explicitly.
-		if f.runtime != "event" {
-			return cfg, fmt.Errorf("-churn runs the incremental repair engine, not a distributed runtime; drop -runtime %s", f.runtime)
-		}
-		// The churn report is the epoch table alone: it returns before
-		// any of the distributed run's artifacts would be written.
-		for _, hook := range []struct {
-			name string
-			set  bool
-		}{
-			{"-trace-spans", f.traceSpans != ""},
-			{"-probe-interval", f.probeInt > 0},
-			{"-dot", f.dot != ""},
-			{"-metrics", f.metrics},
-		} {
-			if hook.set {
-				return cfg, fmt.Errorf("%s has no effect under -churn: the repair engine reports only its epoch table", hook.name)
-			}
-		}
-	}
-
-	if f.runtime == "udp" {
-		// The loopback cluster is a real lossy wire: the simulator-side
-		// conveniences (omniscient tracing, fault policies, probes) have
-		// no hook there, and bare LID would wedge on the first lost
-		// datagram.
-		if !f.reliable {
-			return cfg, fmt.Errorf("-runtime udp rides a real datagram socket and needs -reliable")
-		}
-		if !spec.IsZero() {
-			return cfg, fmt.Errorf("-faults injects at the simulator boundary; -runtime udp has no such hook")
-		}
-		if f.traceSpans != "" {
-			return cfg, fmt.Errorf("-trace-spans needs a simulated runtime (event or goroutine)")
-		}
-	}
-	if f.probeInt < 0 {
-		return cfg, fmt.Errorf("-probe-interval must be non-negative")
-	}
-	if f.probeInt > 0 && f.runtime != "event" {
-		return cfg, fmt.Errorf("-probe-interval hooks the event run loop and needs -runtime event")
-	}
-	if f.traceSpans != "" && f.runtime == "centralized" {
-		return cfg, fmt.Errorf("-trace-spans requires a distributed runtime (event or goroutine)")
-	}
-
-	sched, err := lid.ParseSchedulerSpec(f.scheduler)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.sched = sched
-	if sched.Greedy() {
-		if f.runtime != "event" {
-			return cfg, fmt.Errorf("-scheduler %s drives the event runner's admission queue and needs -runtime event", sched)
-		}
-		if !churnSpec.IsZero() {
-			return cfg, fmt.Errorf("-scheduler configures the LID run; it has no effect under -churn")
-		}
-	}
-	return cfg, nil
+		*p = s
+		return nil
+	})
 }

@@ -259,11 +259,11 @@ func TestEngineIncarnationsAndStaleEvents(t *testing.T) {
 		kind  UpdateKind
 		wantI uint64
 	}{
-		{10, UpdateLeave, 1},  // applied
-		{20, UpdateLeave, 1},  // stale: already down
-		{30, UpdateJoin, 2},   // applied
-		{40, UpdateJoin, 2},   // stale: already up
-		{50, UpdateLeave, 3},  // applied
+		{10, UpdateLeave, 1}, // applied
+		{20, UpdateLeave, 1}, // stale: already down
+		{30, UpdateJoin, 2},  // applied
+		{40, UpdateJoin, 2},  // stale: already up
+		{50, UpdateLeave, 3}, // applied
 	} {
 		var err error
 		if step.kind == UpdateLeave {

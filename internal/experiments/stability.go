@@ -60,7 +60,7 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 		for i, workers := range e17Workers {
 			tbl := satisfaction.NewTableParallel(sys, workers)
 			r := mreg.New()
-			_, p, err := lid.RunEventProbed(sys, tbl, simnet.Options{Seed: cfg.Seed + 17}, interval, r)
+			_, p, err := lid.RunEventProbed(sys, tbl, simnet.Options{Seed: cfg.Seed + 17}, interval, r, lid.SchedulerSpec{})
 			if err != nil {
 				return nil, fmt.Errorf("E17 %s workers=%d: %w", topo.name, workers, err)
 			}

@@ -60,8 +60,8 @@ func injectionSeed(seed uint64) uint64 {
 // Violation is one failing trial, with its injection schedule
 // minimized to a locally irreducible subset.
 type Violation struct {
-	Seed uint64  `json:"seed"`
-	Err  string  `json:"err"`
+	Seed uint64 `json:"seed"`
+	Err  string `json:"err"`
 	// Events is the minimized schedule; RawEvents counts the schedule
 	// as recorded before shrinking.
 	Events     []Event `json:"events"`

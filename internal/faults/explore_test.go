@@ -161,7 +161,7 @@ func TestShrinkIsOneMinimal(t *testing.T) {
 
 // TestReplayFileRoundTrip freezes a shrunk violation into a replay
 // file, reloads it through the strict loader, and re-executes it — the
-// overlaysim -replay path end to end, minus the CLI.
+// overlaysim replay path end to end, minus the CLI.
 func TestReplayFileRoundTrip(t *testing.T) {
 	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 9}
 	sys, err := w.Build()

@@ -320,8 +320,8 @@ type ReplayFile struct {
 	Seed uint64 `json:"seed"`
 	// Spec is the adversary in canonical string form; its timed
 	// windows replay from here, its probabilistic part from Events.
-	Spec     string `json:"spec"`
-	Reliable bool   `json:"reliable"`
+	Spec     string  `json:"spec"`
+	Reliable bool    `json:"reliable"`
 	RTO      float64 `json:"rto,omitempty"`
 	Jitter   float64 `json:"jitter,omitempty"`
 	// MaxRetries freezes the transport's retry budget (0 = unbounded).

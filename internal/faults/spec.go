@@ -20,7 +20,7 @@
 //     Event keyed by the global send sequence number.
 //   - ReplayFile freezes a failing run — workload descriptor, seeds,
 //     Spec, and the (minimized) event list — as JSON that
-//     `overlaysim -replay` re-executes.
+//     `overlaysim replay FILE` re-executes.
 //   - Explore sweeps seeds, recovers panics (the protocols' invariant
 //     checks) and invariant errors as Violations, and shrinks each
 //     failure's event list by greedy chunked removal until no event can

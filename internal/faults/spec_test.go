@@ -61,23 +61,23 @@ func TestSpecParseZero(t *testing.T) {
 
 func TestSpecParseErrors(t *testing.T) {
 	for _, in := range []string{
-		"drop",                  // not key=value
-		"drop=x",                // bad float
-		"drop=1",                // probability must be < 1
-		"drop=-0.1",             // negative
-		"drop=NaN",              // NaN rejected
-		"delayscale=NaN",        //
-		"delayscale=1e13",       // over cap
-		"bogus=1",               // unknown key
-		"partition=1:2",         // missing range
-		"partition=1:2:3",       // range not LO-HI
-		"partition=2:1:0-3",     // end before start
-		"partition=1:2:5-3",     // hi < lo
-		"partition=-1:2:0-3",    // negative start
-		"crash=1:2:x",           // bad node
-		"crash=1:2:-4",          // negative node
-		"drop=0.1,,dup=0.1",     // empty field
-		"partition=NaN:2:0-3",   // NaN start
+		"drop",                // not key=value
+		"drop=x",              // bad float
+		"drop=1",              // probability must be < 1
+		"drop=-0.1",           // negative
+		"drop=NaN",            // NaN rejected
+		"delayscale=NaN",      //
+		"delayscale=1e13",     // over cap
+		"bogus=1",             // unknown key
+		"partition=1:2",       // missing range
+		"partition=1:2:3",     // range not LO-HI
+		"partition=2:1:0-3",   // end before start
+		"partition=1:2:5-3",   // hi < lo
+		"partition=-1:2:0-3",  // negative start
+		"crash=1:2:x",         // bad node
+		"crash=1:2:-4",        // negative node
+		"drop=0.1,,dup=0.1",   // empty field
+		"partition=NaN:2:0-3", // NaN start
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)

@@ -40,7 +40,7 @@ func TestProbedRunMonotoneConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := metrics.New()
-		probed, prober, err := RunEventProbed(s, tbl, opts, 1, reg)
+		probed, prober, err := RunEventProbed(s, tbl, opts, 1, reg, SchedulerSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,25 +43,20 @@ func RunEventScheduled(s *pref.System, tbl *satisfaction.Table, opts simnet.Opti
 	if err != nil {
 		return Result{Stats: stats}, err
 	}
-	return finish(nodes, stats, opts.Metrics)
+	return Finish(nodes, stats, opts.Metrics)
 }
 
-// RunEventProbed is RunEvent with the per-round stability prober
-// attached: every `interval` units of virtual time a StabilitySampler
-// measurement (blocking pairs, unmatched node mass, matched-weight
-// fraction of the LIC optimum, cumulative message/byte counters) is
-// appended to the probe_* series of reg, and the rounds-to-ε summary
-// gauges are published into reg when the run finishes. The returned
-// prober exposes the raw curve (Prober.Curve) and the summary
-// (Prober.RoundsToEps). Probing reads protocol state only — the run
-// itself is bit-identical to an unprobed RunEvent.
-func RunEventProbed(s *pref.System, tbl *satisfaction.Table, opts simnet.Options, interval float64, reg *metrics.Registry) (Result, *obs.Prober, error) {
-	return RunEventProbedScheduled(s, tbl, opts, interval, reg, SchedulerSpec{})
-}
-
-// RunEventProbedScheduled is RunEventProbed with an admission
-// scheduler (see RunEventScheduled).
-func RunEventProbedScheduled(s *pref.System, tbl *satisfaction.Table, opts simnet.Options, interval float64, reg *metrics.Registry, spec SchedulerSpec) (Result, *obs.Prober, error) {
+// RunEventProbed is RunEventScheduled with the per-round stability
+// prober attached: every `interval` units of virtual time a
+// StabilitySampler measurement (blocking pairs, unmatched node mass,
+// matched-weight fraction of the LIC optimum, cumulative message/byte
+// counters) is appended to the probe_* series of reg, and the
+// rounds-to-ε summary gauges are published into reg when the run
+// finishes. The returned prober exposes the raw curve (Prober.Curve)
+// and the summary (Prober.RoundsToEps). Probing reads protocol state
+// only — the run itself is bit-identical to an unprobed run with the
+// same scheduler.
+func RunEventProbed(s *pref.System, tbl *satisfaction.Table, opts simnet.Options, interval float64, reg *metrics.Registry, spec SchedulerSpec) (Result, *obs.Prober, error) {
 	nodes := NewNodes(s, tbl)
 	g := s.Graph()
 	optimum := matching.LIC(s, tbl).Weight(s)
@@ -86,7 +81,7 @@ func RunEventProbedScheduled(s *pref.System, tbl *satisfaction.Table, opts simne
 	if err != nil {
 		return Result{Stats: stats}, prober, err
 	}
-	res, err := finish(nodes, stats, opts.Metrics)
+	res, err := Finish(nodes, stats, opts.Metrics)
 	return res, prober, err
 }
 
@@ -123,26 +118,22 @@ func RunGoroutines(s *pref.System, tbl *satisfaction.Table, timeout time.Duratio
 func RunGoroutinesOpts(s *pref.System, tbl *satisfaction.Table, opts GoOptions) (Result, error) {
 	nodes := NewNodes(s, tbl)
 	runner := simnet.NewGoRunner(s.Graph().NumNodes(), opts.Timeout)
-	if opts.Metrics != nil {
-		runner.SetMetricsSink(opts.Metrics)
-	}
-	if opts.Policy != nil {
-		runner.SetPolicy(opts.Policy)
-	}
-	if opts.Obs != nil {
-		runner.SetObserver(opts.Obs)
-	}
+	runner.SetMetricsSink(opts.Metrics)
+	runner.SetPolicy(opts.Policy)
+	runner.SetObserver(opts.Obs)
 	stats, err := runner.Run(Handlers(nodes))
 	if err != nil {
 		return Result{Stats: stats}, err
 	}
-	return finish(nodes, stats, opts.Metrics)
+	return Finish(nodes, stats, opts.Metrics)
 }
 
-// finish assembles the matching and, when a sink registry is present,
-// publishes the protocol-level instruments (the simnet-level message
-// instruments were already merged by the runner).
-func finish(nodes []*Node, stats simnet.Stats, sink *metrics.Registry) (Result, error) {
+// Finish assembles the matching from the nodes of a finished run and,
+// when sink is non-nil, publishes the protocol-level lid_* counters
+// into it. It is the last step of every LID run, whichever runtime
+// carried the messages (the runtimes merge their own message
+// instruments).
+func Finish(nodes []*Node, stats simnet.Stats, sink *metrics.Registry) (Result, error) {
 	m, err := BuildMatching(nodes)
 	if err != nil {
 		return Result{Stats: stats}, err

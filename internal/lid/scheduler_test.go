@@ -248,7 +248,7 @@ func TestGreedyBitIdenticalAcrossWorkers(t *testing.T) {
 			tbl := satisfaction.NewTableParallel(s, workers)
 			sink := metrics.New()
 			probe := metrics.New()
-			_, _, err := RunEventProbedScheduled(s, tbl, simnet.Options{Seed: cfg.seed, Metrics: sink}, 1, probe, SchedulerSpec{Kind: SchedGreedy})
+			_, _, err := RunEventProbed(s, tbl, simnet.Options{Seed: cfg.seed, Metrics: sink}, 1, probe, SchedulerSpec{Kind: SchedGreedy})
 			if err != nil {
 				t.Fatalf("cfg %d workers=%d: %v", i, workers, err)
 			}

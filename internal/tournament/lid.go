@@ -20,7 +20,7 @@ func (LID) Name() string { return "lid" }
 // Run implements Algorithm.
 func (LID) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (Outcome, error) {
 	if !opts.faulted() {
-		res, prober, err := lid.RunEventProbed(s, tbl, simnet.Options{Seed: opts.Seed}, opts.interval(), opts.Registry)
+		res, prober, err := lid.RunEventProbed(s, tbl, simnet.Options{Seed: opts.Seed}, opts.interval(), opts.Registry, lid.SchedulerSpec{})
 		return Outcome{Matching: res.Matching, Stats: res.Stats, Prober: prober}, err
 	}
 	// Faulted cell: the RunEventProbed wiring laid out by hand so the
