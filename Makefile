@@ -68,28 +68,32 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Deterministic machine-readable benchmark trajectory: fixed seeds and
-# iteration counts. PR10 adds the scheduler rows (the same LID workload
-# under canonical and greedy admission — the message-count delta is the
-# scheduler's payoff); the *Par benchmarks sweep worker counts 1/2/4
-# (the workload columns must be identical at each count); BENCH_PR4.json
-# through BENCH_PR8.json stay committed as the previous points of the
-# trajectory.
+# iteration counts. BENCH_BASELINE.json is the allocation baseline the
+# gate below checks; the *Par benchmarks sweep worker counts 1/2/4 (the
+# workload columns must be identical at each count); BENCH_PR4.json
+# through BENCH_PR10.json stay committed as the earlier points of the
+# trajectory. Rewrite the baseline whenever the code it guards gets
+# cheaper (bench-check fails until it is).
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -phase after -merge -workers-sweep 1,2,4
+	$(GO) run ./cmd/benchjson -out BENCH_BASELINE.json -phase after -merge=false -workers-sweep 1,2,4
 
-# Benchmark regression gate: fresh -quick measurements must stay within
-# tolerance of the committed PR10 baseline, the newest point of the
-# trajectory (allocation figures gated, workload metrics exact, wall
-# clock report-only; rows without a baseline are notes, not failures),
-# and — the negative controls — must FAIL against a synthetically
-# regressed fixture and against a baseline that mixes workers=0 rows
-# with explicit worker counts in one family (the PR 10 matchBaseline
-# fallback bug), so a broken gate cannot pass silently.
+# Benchmark regression gate: fresh -quick measurements, at the same
+# worker counts as the baseline, must stay within tolerance of the
+# committed baseline (allocation figures gated, workload metrics exact,
+# wall clock report-only; rows without a baseline are notes, not
+# failures), and no committed allocation figure may be more than 2x
+# the fresh one: a stale baseline is a failure, not silent slack. The
+# negative controls must FAIL: a synthetically regressed fixture, a
+# baseline that mixes workers=0 rows with explicit worker counts in one
+# family (the matchBaseline fallback bug), and the stale BENCH_PR10.json
+# (written before the allocation wins it would hide) under the 2x
+# check, so a broken gate cannot pass silently.
 bench-check:
 	$(GO) test -count=1 ./cmd/benchjson
-	$(GO) run ./cmd/benchjson -quick -compare BENCH_PR10.json
+	$(GO) run ./cmd/benchjson -quick -workers-sweep 1,2,4 -compare BENCH_BASELINE.json -stale-factor 2
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/regressed_baseline.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/mixed_workers_baseline.json
+	! $(GO) run ./cmd/benchjson -quick -workers-sweep 1,2,4 -compare BENCH_PR10.json -stale-factor 2
 
 # The golden experiments file must regenerate to the exact committed
 # bytes: wall-clock columns now live in the manifest/metrics sink, so

@@ -41,10 +41,7 @@ type rowKey struct {
 // counterpart (and vice versa) are notes, never failures, so -quick
 // runs can gate against full baselines.
 func compareRows(baseline, fresh []Row, tolPct, nsTolPct float64) (failures, notes []string) {
-	byKey := make(map[rowKey]Row, len(fresh))
-	for _, r := range fresh {
-		byKey[rowKey{r.Name, r.N, r.Phase, r.Workers}] = r
-	}
+	byKey := indexRows(fresh)
 	matched := make(map[rowKey]bool, len(fresh))
 	for _, old := range baseline {
 		key := rowKey{old.Name, old.N, old.Phase, old.Workers}
@@ -94,6 +91,44 @@ func compareRows(baseline, fresh []Row, tolPct, nsTolPct float64) (failures, not
 		}
 	}
 	return failures, notes
+}
+
+// staleRows is the baseline's other direction: a committed row whose
+// allocs_per_op or b_per_op is more than factor times the fresh figure
+// (plus the same absolute slack) is a failure. Without it a baseline
+// written before an allocation win would keep accepting a change that
+// gives the win back, as long as it stays under the old ceiling; with
+// it the baseline must be rewritten when the code it guards gets
+// cheaper. Rows with no fresh counterpart are skipped, as in
+// compareRows.
+func staleRows(baseline, fresh []Row, factor float64) []string {
+	byKey := indexRows(fresh)
+	var failures []string
+	for _, old := range baseline {
+		key := rowKey{old.Name, old.N, old.Phase, old.Workers}
+		cur, ok := byKey[key]
+		if !ok {
+			continue
+		}
+		check := func(metric string, oldV, newV, slack float64) {
+			if limit := newV*factor + slack; oldV > limit {
+				failures = append(failures, fmt.Sprintf(
+					"%s: stale baseline, committed %s %.1f is more than %gx the fresh %.1f — rewrite the baseline",
+					keyString(key), metric, oldV, factor, newV))
+			}
+		}
+		check("allocs_per_op", old.AllocsPerOp, cur.AllocsPerOp, allocSlack)
+		check("b_per_op", old.BPerOp, cur.BPerOp, byteSlack)
+	}
+	return failures
+}
+
+func indexRows(rows []Row) map[rowKey]Row {
+	byKey := make(map[rowKey]Row, len(rows))
+	for _, r := range rows {
+		byKey[rowKey{r.Name, r.N, r.Phase, r.Workers}] = r
+	}
+	return byKey
 }
 
 // famKey identifies a row family — a benchmark shape independent of

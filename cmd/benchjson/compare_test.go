@@ -184,3 +184,29 @@ func TestParseWorkersSweep(t *testing.T) {
 		}
 	}
 }
+
+func TestStaleRowsFlagsOutdatedBaseline(t *testing.T) {
+	base := []Row{
+		mkRow("PrefBuild", 1000, 0, 100, 1_000_000, 3000, nil), // written before an allocation win
+		mkRow("LIC", 1000, 0, 100, 1000, 10, nil),              // current
+		mkRow("Sort", 1000, 0, 100, 0, 3, nil),                 // within the absolute slack
+		mkRow("Gone", 1000, 0, 100, 1e9, 1e9, nil),             // not measured: skipped
+	}
+	fresh := []Row{
+		mkRow("PrefBuild", 1000, 0, 100, 200_000, 14, nil),
+		mkRow("LIC", 1000, 0, 100, 900, 9, nil),
+		mkRow("Sort", 1000, 0, 100, 0, 1, nil),
+	}
+	failures := staleRows(base, fresh, 2)
+	if len(failures) != 2 {
+		t.Fatalf("expected allocs and bytes failures for PrefBuild only, got %v", failures)
+	}
+	for _, f := range failures {
+		if !strings.Contains(f, "PrefBuild/n=1000") || !strings.Contains(f, "stale baseline") {
+			t.Fatalf("unexpected failure %q", f)
+		}
+	}
+	if got := staleRows(base[1:3], fresh, 2); len(got) != 0 {
+		t.Fatalf("current baseline flagged stale: %v", got)
+	}
+}

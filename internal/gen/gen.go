@@ -28,19 +28,26 @@ func GNP(src *rng.Source, n int, p float64) *graph.Graph {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		panic(fmt.Sprintf("gen: GNP with p=%v outside [0,1]", p))
 	}
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	switch {
 	case p == 0:
 	case p == 1:
+		edges = make([]graph.Edge, 0, n*(n-1)/2)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				b.AddEdge(u, v)
+				edges = append(edges, graph.Edge{U: u, V: v})
 			}
 		}
 	default:
+		// The list is sized for the expected edge count plus five
+		// standard deviations, so it is allocated once unless the
+		// draw is a five-sigma outlier (append then grows it).
 		// Geometric skipping (Batagelj–Brandes): walk the strictly
 		// upper-triangular pair sequence jumping Geom(p) slots at a
 		// time, O(m) instead of O(n^2) for sparse p.
+		pairs := float64(n) * float64(n-1) / 2
+		mean := p * pairs
+		edges = make([]graph.Edge, 0, int(math.Min(pairs, mean+5*math.Sqrt(mean)+16)))
 		logq := math.Log1p(-p)
 		u, v := 0, 0
 		for u < n {
@@ -52,11 +59,13 @@ func GNP(src *rng.Source, n int, p float64) *graph.Graph {
 				v = v - n + u + 1
 			}
 			if u < n-1 && v < n {
-				b.AddEdge(u, v)
+				edges = append(edges, graph.Edge{U: u, V: v})
 			}
 		}
 	}
-	return b.MustGraph()
+	// Both branches emit in lexicographic order, so the builder skips
+	// its sort.
+	return graph.MustFromEdges(n, edges)
 }
 
 // GNM returns a uniform random graph with exactly m edges among n

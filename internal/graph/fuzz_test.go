@@ -64,15 +64,22 @@ func FuzzGraphJSON(f *testing.F) {
 }
 
 // FuzzEdgeIndexRoundTrip: the CSR edge index must stay consistent with
-// the adjacency view for arbitrary graphs. The input bytes are decoded
-// as a node count plus a sequence of endpoint pairs (self loops and
-// duplicates are dropped by the builder), and every public index
-// accessor is cross-checked against every other.
+// the adjacency view for arbitrary graphs built by arbitrary mixes of
+// the Builder's calls. The input bytes are decoded as a node count plus
+// a sequence of endpoint pairs; the top two bits of a pair's first byte
+// pick the call: AddEdge of a new edge, TryAddEdge, a raw AddEdge
+// (which may repeat an edge or add a self loop), or HasEdge. A map
+// models the edge set: TryAddEdge and HasEdge must agree with it at
+// every step, Graph() must fail exactly when a raw AddEdge was
+// invalid, and otherwise build the modelled edges, with every public
+// index accessor cross-checked against every other.
 func FuzzEdgeIndexRoundTrip(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 1, 2})
 	f.Add([]byte{1})
 	f.Add([]byte{5, 0, 4, 4, 0, 2, 2})
 	f.Add([]byte{8, 0, 1, 0, 2, 0, 3, 1, 2, 6, 7})
+	f.Add([]byte{8, 0, 1, 64, 1, 128, 3, 193, 0, 130, 3})
+	f.Add([]byte{6, 2, 5, 133, 2, 66, 5, 197, 2})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -80,13 +87,52 @@ func FuzzEdgeIndexRoundTrip(f *testing.F) {
 		}
 		n := int(data[0])%64 + 1
 		b := NewBuilder(n)
+		model := make(map[Edge]bool)
+		invalid := false
 		for i := 1; i+1 < len(data); i += 2 {
 			u, v := NodeID(data[i])%n, NodeID(data[i+1])%n
-			if u != v && !b.HasEdge(u, v) {
+			e := Edge{u, v}.Normalize()
+			fresh := u != v && !model[e]
+			switch data[i] >> 6 {
+			case 0:
+				if fresh {
+					b.AddEdge(u, v)
+				}
+			case 1:
+				if got := b.TryAddEdge(u, v); got != fresh {
+					t.Fatalf("TryAddEdge(%d,%d) = %v, want %v", u, v, got, fresh)
+				}
+			case 2:
 				b.AddEdge(u, v)
+				invalid = invalid || !fresh
+			case 3:
+				if got := b.HasEdge(u, v); got != model[e] {
+					t.Fatalf("HasEdge(%d,%d) = %v, want %v", u, v, got, model[e])
+				}
+				fresh = false
+			}
+			if fresh {
+				model[e] = true
 			}
 		}
-		g := b.MustGraph()
+		g, err := b.Graph()
+		if invalid {
+			if err == nil {
+				t.Fatal("Graph() accepted a duplicate or a self loop")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Graph() rejected valid edges: %v", err)
+		}
+		if g.NumEdges() != len(model) || b.NumEdges() != len(model) {
+			t.Fatalf("graph has %d edges, builder counts %d, model %d", g.NumEdges(), b.NumEdges(), len(model))
+		}
+		for _, e := range g.Edges() {
+			if !model[e] {
+				t.Fatalf("graph edge %v was never added", e)
+			}
+		}
 		seen := make([]bool, g.NumEdges())
 		for u := 0; u < n; u++ {
 			inc := g.IncidentEdges(u)

@@ -7,8 +7,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -289,13 +291,23 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d}", g.n, len(g.edges))
 }
 
-// Builder accumulates edges and produces an immutable Graph. Adding an
-// edge twice, a self loop, or an out-of-range endpoint is recorded and
-// reported by Graph().
+// Builder accumulates edges and produces an immutable Graph. A self
+// loop or an out-of-range endpoint is recorded when it is added; an
+// AddEdge duplicate is detected only by Graph(), which sorts the
+// canonical edges and finds it next to its twin. All are reported by
+// Graph(). Generators that emit each pair once (GNP, dense GNM, the
+// deterministic families) therefore pay for no set at all.
+//
+// TryAddEdge and HasEdge need to know the edges added so far at the
+// moment of the call (random generators whose draw count depends on
+// rejected duplicates). The first call to either builds a set of the
+// edges recorded so far; from then on every added edge goes into it,
+// and an AddEdge duplicate is reported as soon as it is added.
 type Builder struct {
-	n    int
-	seen map[Edge]struct{}
-	errs []error
+	n     int
+	edges []Edge            // canonical, in emission order until Graph() sorts them
+	seen  map[Edge]struct{} // nil until the first TryAddEdge or HasEdge
+	errs  []error
 }
 
 // NewBuilder returns a Builder for a graph on n nodes. It panics if n
@@ -304,7 +316,7 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: NewBuilder with negative n")
 	}
-	return &Builder{n: n, seen: make(map[Edge]struct{})}
+	return &Builder{n: n}
 }
 
 // AddEdge records the undirected edge {u,v}. Violations (self loop,
@@ -319,12 +331,17 @@ func (b *Builder) AddEdge(u, v NodeID) {
 		return
 	}
 	e := Edge{u, v}.Normalize()
-	if _, dup := b.seen[e]; dup {
-		b.errs = append(b.errs, fmt.Errorf("graph: duplicate edge %v", e))
-		return
+	if b.seen != nil {
+		if _, dup := b.seen[e]; dup {
+			b.errs = append(b.errs, duplicateEdge(e))
+			return
+		}
+		b.seen[e] = struct{}{}
 	}
-	b.seen[e] = struct{}{}
+	b.edges = append(b.edges, e)
 }
+
+func duplicateEdge(e Edge) error { return fmt.Errorf("graph: duplicate edge %v", e) }
 
 // TryAddEdge records {u,v} if it is a valid new edge and reports
 // whether it was added. Unlike AddEdge it treats duplicates and self
@@ -335,54 +352,93 @@ func (b *Builder) TryAddEdge(u, v NodeID) bool {
 		return false
 	}
 	e := Edge{u, v}.Normalize()
-	if _, dup := b.seen[e]; dup {
+	seen := b.seenSet()
+	if _, dup := seen[e]; dup {
 		return false
 	}
-	b.seen[e] = struct{}{}
+	seen[e] = struct{}{}
+	b.edges = append(b.edges, e)
 	return true
 }
 
 // HasEdge reports whether {u,v} has been added.
 func (b *Builder) HasEdge(u, v NodeID) bool {
-	_, ok := b.seen[Edge{u, v}.Normalize()]
+	_, ok := b.seenSet()[Edge{u, v}.Normalize()]
 	return ok
 }
 
-// NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.seen) }
+// seenSet returns the online duplicate set, building it from the
+// edges recorded so far on first use.
+func (b *Builder) seenSet() map[Edge]struct{} {
+	if b.seen == nil {
+		b.seen = make(map[Edge]struct{}, len(b.edges))
+		for _, e := range b.edges {
+			b.seen[e] = struct{}{}
+		}
+	}
+	return b.seen
+}
 
-// Graph finalizes the builder. It returns an error if any AddEdge call
-// was invalid.
+// NumEdges returns the number of edges recorded so far. An AddEdge
+// duplicate made before the online set exists (before any TryAddEdge
+// or HasEdge call) is still counted: only Graph() detects and drops
+// it, and NumEdges counts it until then.
+func (b *Builder) NumEdges() int { return len(b.edges) }
+
+// compareEdges orders canonical edges lexicographically, the order of
+// Edges() and of the dense EdgeIDs.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
+// Graph finalizes the builder. It returns an error if any edge was
+// invalid or added twice. It may be called more than once; the builder
+// stays usable and later calls see the edges added since.
 func (b *Builder) Graph() (*Graph, error) {
+	if !slices.IsSortedFunc(b.edges, compareEdges) {
+		slices.SortFunc(b.edges, compareEdges)
+	}
+	// Duplicates are now adjacent. Report each one and drop it, so a
+	// second call reports the same errors rather than twice as many.
+	// Only moved entries are written: an array a built graph already
+	// shares is left untouched.
+	w := 0
+	for r, e := range b.edges {
+		if w > 0 && b.edges[w-1] == e {
+			b.errs = append(b.errs, duplicateEdge(e))
+			continue
+		}
+		if w != r {
+			b.edges[w] = e
+		}
+		w++
+	}
+	b.edges = b.edges[:w]
 	if len(b.errs) > 0 {
 		return nil, fmt.Errorf("graph: %d invalid edge(s), first: %w", len(b.errs), b.errs[0])
 	}
 	// Dense EdgeIDs are int32 and the incidence offsets accumulate 2m in
 	// int32; beyond this the ids and offsets would silently wrap, so the
 	// builder refuses instead.
-	if len(b.seen) > edgeLimit {
+	if len(b.edges) > edgeLimit {
 		return nil, fmt.Errorf(
 			"graph: %d edges exceed the dense-index limit of %d (EdgeID and CSR incidence offsets are int32; 2m must fit)",
-			len(b.seen), edgeLimit)
+			len(b.edges), edgeLimit)
+	}
+	// The graph takes the sorted slice itself. Capping it at its length,
+	// in the builder too, makes a later AddEdge copy it instead of
+	// writing into the array the graph holds.
+	b.edges = b.edges[:w:w]
+	if b.edges == nil {
+		b.edges = []Edge{} // an edgeless graph's Edges() is empty, not nil
 	}
 	g := &Graph{
 		n:     b.n,
 		adj:   make([][]NodeID, b.n),
-		edges: make([]Edge, 0, len(b.seen)),
-	}
-	for e := range b.seen {
-		g.edges = append(g.edges, e)
-	}
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
-		}
-		return g.edges[i].V < g.edges[j].V
-	})
-	deg := make([]int, b.n)
-	for _, e := range g.edges {
-		deg[e.U]++
-		deg[e.V]++
+		edges: b.edges,
 	}
 	// One flat buffer per array (adjacency, incidence); per-node views
 	// are subslices. A single pass over the lexicographically sorted
@@ -391,8 +447,12 @@ func (b *Builder) Graph() (*Graph, error) {
 	// entries (V > v, by ascending V) — so no per-node sort is needed
 	// and inc stays aligned with adj by construction.
 	g.incOff = make([]int32, b.n+1)
+	for _, e := range g.edges {
+		g.incOff[e.U+1]++
+		g.incOff[e.V+1]++
+	}
 	for u := 0; u < b.n; u++ {
-		g.incOff[u+1] = g.incOff[u] + int32(deg[u])
+		g.incOff[u+1] += g.incOff[u]
 	}
 	adjBuf := make([]NodeID, 2*len(g.edges))
 	g.inc = make([]EdgeID, 2*len(g.edges))
@@ -422,9 +482,12 @@ func (b *Builder) MustGraph() *Graph {
 	return g
 }
 
-// FromEdges builds a graph on n nodes from an edge list.
+// FromEdges builds a graph on n nodes from an edge list. The list is
+// copied, once, into a builder sized to it; a list already in
+// canonical lexicographic order skips the sort.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	b := NewBuilder(n)
+	b.edges = make([]Edge, 0, len(edges))
 	for _, e := range edges {
 		b.AddEdge(e.U, e.V)
 	}

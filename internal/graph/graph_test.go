@@ -3,6 +3,7 @@ package graph
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,5 +221,111 @@ func TestAdjacencyEdgeConsistency(t *testing.T) {
 func TestString(t *testing.T) {
 	if got := path5(t).String(); got != "graph{n=5 m=4}" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestBuilderDeferredDuplicate: an AddEdge duplicate made while no
+// online set exists is accepted by AddEdge, counted by NumEdges, and
+// reported by Graph() as an invalid edge.
+func TestBuilderDeferredDuplicate(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	b.AddEdge(1, 0)
+	if b.NumEdges() != 3 {
+		t.Fatalf("NumEdges with a pending duplicate = %d, want 3", b.NumEdges())
+	}
+	_, err := b.Graph()
+	if err == nil {
+		t.Fatal("Graph() accepted a duplicate edge")
+	}
+	for _, want := range []string{"1 invalid edge(s)", "duplicate edge (0,1)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	// Graph() dropped the duplicate: the count is settled and a second
+	// call reports the same single error.
+	if b.NumEdges() != 2 {
+		t.Fatalf("NumEdges after Graph() = %d, want 2", b.NumEdges())
+	}
+	if _, err2 := b.Graph(); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("second Graph() error = %v, want %v", err2, err)
+	}
+}
+
+// TestBuilderOnlineDedup: once TryAddEdge or HasEdge has built the
+// online set, it sees earlier AddEdge calls, and later AddEdge
+// duplicates are rejected (and not counted) at once.
+func TestBuilderOnlineDedup(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	if b.TryAddEdge(1, 0) {
+		t.Fatal("TryAddEdge(1,0) accepted after AddEdge(0,1)")
+	}
+	if !b.HasEdge(1, 0) || !b.HasEdge(0, 1) {
+		t.Fatal("HasEdge misses an AddEdge edge")
+	}
+	if b.HasEdge(0, 2) {
+		t.Fatal("HasEdge reports an edge never added")
+	}
+	b.AddEdge(2, 3)
+	if b.TryAddEdge(3, 2) || !b.HasEdge(3, 2) {
+		t.Fatal("online set misses an AddEdge made after it was built")
+	}
+	b.AddEdge(3, 2)
+	if b.NumEdges() != 2 {
+		t.Fatalf("NumEdges = %d, want 2 (online duplicate not counted)", b.NumEdges())
+	}
+	if _, err := b.Graph(); err == nil || !strings.Contains(err.Error(), "duplicate edge (2,3)") {
+		t.Fatalf("Graph() error = %v, want the duplicate (2,3)", err)
+	}
+}
+
+// TestBuilderEmissionOrder: shuffled emission builds the same graph as
+// sorted emission (the same EdgeIDs and CSR arrays), and calling
+// Graph() twice gives equal graphs.
+func TestBuilderEmissionOrder(t *testing.T) {
+	src := rng.New(5)
+	n := 40
+	var sorted []Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if src.Bool(0.2) {
+				sorted = append(sorted, Edge{u, v})
+			}
+		}
+	}
+	shuffled := append([]Edge(nil), sorted...)
+	src.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for k := range shuffled {
+		if k%2 == 1 {
+			shuffled[k].U, shuffled[k].V = shuffled[k].V, shuffled[k].U
+		}
+	}
+	want := MustFromEdges(n, sorted)
+	b := NewBuilder(n)
+	for _, e := range shuffled {
+		b.AddEdge(e.U, e.V)
+	}
+	got := b.MustGraph()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("shuffled emission built a different graph than sorted emission")
+	}
+	if again := b.MustGraph(); !reflect.DeepEqual(again, got) {
+		t.Fatal("second Graph() differs from the first")
+	}
+	// An edge added after Graph(), sorting before edges already there,
+	// reaches the next graph but not the one already built.
+	u, v := 0, 1
+	for got.HasEdge(u, v) {
+		v++
+	}
+	b.AddEdge(v, u)
+	if next := b.MustGraph(); !next.HasEdge(u, v) || next.NumEdges() != got.NumEdges()+1 {
+		t.Fatalf("edge (%d,%d) added after Graph() missing from the next graph", u, v)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("AddEdge after Graph() changed the graph already built")
 	}
 }

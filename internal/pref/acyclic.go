@@ -15,24 +15,6 @@ import (
 // its own symmetric weights, eq. 9), and the experiment suite uses this
 // test to label workloads.
 
-// edgeIndexer assigns dense indices to canonical edges.
-type edgeIndexer struct {
-	idx map[graph.Edge]int
-	all []graph.Edge
-}
-
-func newEdgeIndexer(g *graph.Graph) *edgeIndexer {
-	ei := &edgeIndexer{idx: make(map[graph.Edge]int, g.NumEdges()), all: g.Edges()}
-	for i, e := range ei.all {
-		ei.idx[e] = i
-	}
-	return ei
-}
-
-func (ei *edgeIndexer) index(u, v graph.NodeID) int {
-	return ei.idx[graph.Edge{U: u, V: v}.Normalize()]
-}
-
 // IsAcyclic reports whether the preference system is acyclic in the
 // Gai et al. sense. It builds the edge-preference digraph — an arc from
 // edge (i, Li[r]) to edge (i, Li[r+1]) for every node i and consecutive
@@ -48,42 +30,64 @@ func IsAcyclic(s *System) bool {
 // on itself (last element precedes the first in the preference order).
 func FindPreferenceCycle(s *System) []graph.Edge {
 	g := s.Graph()
-	ei := newEdgeIndexer(g)
 	m := g.NumEdges()
-	adj := make([][]int, m) // adj[e] = edges directly less preferred than e
+	// The digraph's vertices are EdgeIDs. Edge e = {u,v}, u < v, has at
+	// most two out-arcs: to the edge u ranks next after e, and to the
+	// edge v ranks next. They sit at succ[2e] and succ[2e+1] (-1 where
+	// e is last in that endpoint's list), a CSR layout with a uniform
+	// stride of 2. The u-arc comes first because nodes are visited in
+	// ascending order, as the arcs were appended before; the DFS
+	// therefore takes children in the same order and finds the same
+	// witness.
+	succ := make([]int32, 2*m)
+	for k := range succ {
+		succ[k] = -1
+	}
+	// byRank[r] is the EdgeID node i ranks at r: the edge in incidence
+	// slot k, where RankAt(i, k) == r.
+	byRank := make([]graph.EdgeID, g.MaxDegree())
 	for i := 0; i < g.NumNodes(); i++ {
-		list := s.List(i)
-		for r := 0; r+1 < len(list); r++ {
-			from := ei.index(i, list[r])
-			to := ei.index(i, list[r+1])
-			adj[from] = append(adj[from], to)
+		inc := g.IncidentEdges(i)
+		for k, id := range inc {
+			byRank[s.RankAt(i, k)] = id
+		}
+		for r := 0; r+1 < len(inc); r++ {
+			from := byRank[r]
+			side := int32(0)
+			if g.EdgeByID(from).U != i {
+				side = 1
+			}
+			succ[2*from+side] = byRank[r+1]
 		}
 	}
 	// Iterative DFS with colors; record the stack to extract a witness.
+	// One stack serves every start: a DFS path is at most m long.
 	const (
 		white = iota
 		gray
 		black
 	)
 	color := make([]int8, m)
-	parent := make([]int, m)
-	for i := range parent {
-		parent[i] = -1
+	parent := make([]int32, m)
+	type frame struct {
+		node, next int32
 	}
-	for start := 0; start < m; start++ {
+	stack := make([]frame, 0, m)
+	for start := int32(0); start < int32(m); start++ {
 		if color[start] != white {
 			continue
 		}
-		type frame struct {
-			node, next int
-		}
-		stack := []frame{{start, 0}}
+		stack = append(stack[:0], frame{start, 0})
 		color[start] = gray
+		parent[start] = -1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				child := adj[f.node][f.next]
+			if f.next < 2 {
+				child := succ[2*f.node+f.next]
 				f.next++
+				if child < 0 {
+					continue
+				}
 				switch color[child] {
 				case white:
 					color[child] = gray
@@ -91,7 +95,7 @@ func FindPreferenceCycle(s *System) []graph.Edge {
 					stack = append(stack, frame{child, 0})
 				case gray:
 					// Found a cycle: walk parents from f.node back to child.
-					var rev []int
+					var rev []int32
 					for x := f.node; ; x = parent[x] {
 						rev = append(rev, x)
 						if x == child {
@@ -100,7 +104,7 @@ func FindPreferenceCycle(s *System) []graph.Edge {
 					}
 					cycle := make([]graph.Edge, 0, len(rev))
 					for k := len(rev) - 1; k >= 0; k-- {
-						cycle = append(cycle, ei.all[rev[k]])
+						cycle = append(cycle, g.EdgeByID(rev[k]))
 					}
 					return cycle
 				}

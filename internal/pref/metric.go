@@ -88,52 +88,113 @@ type TransactionMetric struct {
 // Score implements Metric.
 func (m TransactionMetric) Score(i, j graph.NodeID) float64 { return m.History[i][j] }
 
+// binder is implemented by metrics that precompute their scores for a
+// whole graph. Build and BuildParallel bind the metric to the graph
+// they rank before scoring any pair.
+type binder interface {
+	bind(g *graph.Graph)
+}
+
 // RandomMetric gives every directed pair an independent uniform score,
 // the harshest stress test for cyclic preferences. Scores are drawn
-// lazily and memoized so a Metric value is deterministic.
+// once per pair, so a Metric value is deterministic.
+//
+// Bound to a graph by Build (or BuildParallel), a fresh RandomMetric
+// draws the scores of all 2m directed neighbor pairs at once into
+// slots laid out like the graph's CSR adjacency: slot
+// IncidenceOffset(i)+k holds Score(i, Neighbors(i)[k]). The draw order
+// is the order in which Build visits the pairs, i ascending and then
+// Neighbors(i) order, which is slot order 0..2m−1; the scores are the
+// ones a metric drawing each pair on first use would give. Score then
+// finds a bound pair's slot with NeighborIndex. A pair off the bound
+// graph, and every pair of a metric that has already drawn when it is
+// first bound, falls back to a memo that draws on first use.
 type RandomMetric struct {
-	src   *rng.Source
-	cache map[[2]graph.NodeID]float64
+	s randomScores[[2]graph.NodeID]
 }
 
 // NewRandomMetric returns a RandomMetric drawing from src.
 func NewRandomMetric(src *rng.Source) *RandomMetric {
-	return &RandomMetric{src: src, cache: make(map[[2]graph.NodeID]float64)}
+	return &RandomMetric{s: randomScores[[2]graph.NodeID]{src: src}}
 }
+
+func (m *RandomMetric) bind(g *graph.Graph) { m.s.bind(g, 2*g.NumEdges()) }
 
 // Score implements Metric.
 func (m *RandomMetric) Score(i, j graph.NodeID) float64 {
-	k := [2]graph.NodeID{i, j}
-	if v, ok := m.cache[k]; ok {
-		return v
+	if g := m.s.g; g != nil {
+		if k, ok := g.NeighborIndex(i, j); ok {
+			return m.s.slots[int(g.IncidenceOffset(i))+k]
+		}
 	}
-	v := m.src.Float64()
-	m.cache[k] = v
-	return v
+	return m.s.memoized([2]graph.NodeID{i, j})
 }
 
 // SymmetricRandomMetric is RandomMetric with symmetric scores
 // (score(i,j) = score(j,i)), modelling shared pairwise affinity such as
 // measured round-trip time. Symmetric scores make the preference
 // system acyclic in the pairwise sense of Gai et al. [3].
+//
+// Bound to a graph, a fresh SymmetricRandomMetric draws one score per
+// edge, in the order of each edge's first visit in Build's walk (i
+// ascending, then Neighbors(i) order). The first visit of {u,v}, u < v,
+// is from u, so that order is the lexicographic edge order, which is
+// EdgeID order: the scores go into one slot per EdgeID, found through
+// EdgeIDOf (NeighborIndex plus the incidence list). The memo fallback
+// is RandomMetric's.
 type SymmetricRandomMetric struct {
-	src   *rng.Source
-	cache map[graph.Edge]float64
+	s randomScores[graph.Edge]
 }
 
 // NewSymmetricRandomMetric returns a SymmetricRandomMetric drawing from src.
 func NewSymmetricRandomMetric(src *rng.Source) *SymmetricRandomMetric {
-	return &SymmetricRandomMetric{src: src, cache: make(map[graph.Edge]float64)}
+	return &SymmetricRandomMetric{s: randomScores[graph.Edge]{src: src}}
 }
+
+func (m *SymmetricRandomMetric) bind(g *graph.Graph) { m.s.bind(g, g.NumEdges()) }
 
 // Score implements Metric.
 func (m *SymmetricRandomMetric) Score(i, j graph.NodeID) float64 {
-	k := graph.Edge{U: i, V: j}.Normalize()
-	if v, ok := m.cache[k]; ok {
-		return v
+	if g := m.s.g; g != nil {
+		if id, ok := g.EdgeIDOf(i, j); ok {
+			return m.s.slots[id]
+		}
 	}
-	v := m.src.Float64()
-	m.cache[k] = v
+	return m.s.memoized(graph.Edge{U: i, V: j}.Normalize())
+}
+
+// randomScores is the draw store of the random metrics: the bound
+// graph's scores in flat slots, drawn at bind, and a memo that draws
+// every other key on first use.
+type randomScores[K comparable] struct {
+	src   *rng.Source
+	g     *graph.Graph // the bound graph, nil until bind
+	slots []float64
+	memo  map[K]float64
+}
+
+// bind draws size slot scores for g, unless the store is already bound
+// or has drawn into its memo (its draws would then come out of order).
+func (r *randomScores[K]) bind(g *graph.Graph, size int) {
+	if r.g != nil || len(r.memo) > 0 {
+		return
+	}
+	r.g = g
+	r.slots = make([]float64, size)
+	for k := range r.slots {
+		r.slots[k] = r.src.Float64()
+	}
+}
+
+func (r *randomScores[K]) memoized(key K) float64 {
+	v, ok := r.memo[key]
+	if !ok {
+		if r.memo == nil {
+			r.memo = make(map[K]float64)
+		}
+		v = r.src.Float64()
+		r.memo[key] = v
+	}
 	return v
 }
 

@@ -120,14 +120,15 @@ func (s *System) validateNode(i int, seen []int32) error {
 	}
 	stamp := int32(i) + 1
 	for r, j := range s.lists[i] {
-		if !s.g.HasEdge(i, j) {
+		k, ok := s.g.NeighborIndex(i, j)
+		if !ok {
 			return fmt.Errorf("pref: node %d ranks non-neighbor %d", i, j)
 		}
 		if seen[j] == stamp {
 			return fmt.Errorf("pref: node %d ranks %d twice", i, j)
 		}
 		seen[j] = stamp
-		if got := s.Rank(i, j); got != r {
+		if got := s.RankAt(i, k); got != r {
 			return fmt.Errorf("pref: node %d rank table says R(%d)=%d, list says %d", i, j, got, r)
 		}
 	}
@@ -203,15 +204,14 @@ func fromOwnedLists(g *graph.Graph, lists [][]graph.NodeID, quotas []int, worker
 // score. Ties are broken by ascending node ID so the list is always a
 // strict total order, as §2 requires. quota is evaluated per node and
 // clamped to [1, |Li|] (0 for isolated nodes).
+//
+// A fresh RandomMetric or SymmetricRandomMetric is first bound to g,
+// which draws all its scores into flat slots (see RandomMetric). The
+// lists are carved from one flat array laid out like the graph's CSR
+// adjacency, and one scratch slice serves every node's sort. Build is
+// BuildParallel on one worker, which runs inline.
 func Build(g *graph.Graph, metric Metric, quota func(i graph.NodeID) int) (*System, error) {
-	n := g.NumNodes()
-	lists := make([][]graph.NodeID, n)
-	quotas := make([]int, n)
-	for i := 0; i < n; i++ {
-		lists[i] = rankedNeighbors(g, metric, i)
-		quotas[i] = quota(i)
-	}
-	return FromRanks(g, lists, quotas)
+	return BuildParallel(g, metric, quota, 1)
 }
 
 // UniformQuota returns a quota function assigning b to every node.
