@@ -86,14 +86,14 @@ bench-json:
 # negative controls must FAIL: a synthetically regressed fixture, a
 # baseline that mixes workers=0 rows with explicit worker counts in one
 # family (the matchBaseline fallback bug), and the stale BENCH_PR10.json
-# (written before the allocation wins it would hide) under the 2x
-# check, so a broken gate cannot pass silently.
+# (written before the allocation wins it would hide), so a broken gate
+# cannot pass silently.
 bench-check:
 	$(GO) test -count=1 ./cmd/benchjson
-	$(GO) run ./cmd/benchjson -quick -workers-sweep 1,2,4 -compare BENCH_BASELINE.json -stale-factor 2
+	$(GO) run ./cmd/benchjson -quick -workers-sweep 1,2,4 -compare BENCH_BASELINE.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/regressed_baseline.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/mixed_workers_baseline.json
-	! $(GO) run ./cmd/benchjson -quick -workers-sweep 1,2,4 -compare BENCH_PR10.json -stale-factor 2
+	! $(GO) run ./cmd/benchjson -quick -workers-sweep 1,2,4 -compare BENCH_PR10.json
 
 # The golden experiments file must regenerate to the exact committed
 # bytes: wall-clock columns now live in the manifest/metrics sink, so

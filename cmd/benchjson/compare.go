@@ -9,10 +9,13 @@ import (
 
 // Absolute slack added on top of the percentage tolerance, so rows
 // whose baseline is at or near zero (alloc-free hot paths) don't fail
-// on measurement noise of a handful of bytes.
+// on measurement noise of a handful of bytes. staleFactor is how many
+// times the fresh allocation figure a committed one may be before
+// staleRows calls the baseline stale.
 const (
-	allocSlack = 2.0
-	byteSlack  = 64.0
+	allocSlack  = 2.0
+	byteSlack   = 64.0
+	staleFactor = 2.0
 )
 
 // rowKey identifies a row for baseline matching.
@@ -94,14 +97,14 @@ func compareRows(baseline, fresh []Row, tolPct, nsTolPct float64) (failures, not
 }
 
 // staleRows is the baseline's other direction: a committed row whose
-// allocs_per_op or b_per_op is more than factor times the fresh figure
-// (plus the same absolute slack) is a failure. Without it a baseline
+// allocs_per_op or b_per_op is more than staleFactor times the fresh
+// figure (plus the same absolute slack) is a failure. Without it a baseline
 // written before an allocation win would keep accepting a change that
 // gives the win back, as long as it stays under the old ceiling; with
 // it the baseline must be rewritten when the code it guards gets
 // cheaper. Rows with no fresh counterpart are skipped, as in
 // compareRows.
-func staleRows(baseline, fresh []Row, factor float64) []string {
+func staleRows(baseline, fresh []Row) []string {
 	byKey := indexRows(fresh)
 	var failures []string
 	for _, old := range baseline {
@@ -111,10 +114,10 @@ func staleRows(baseline, fresh []Row, factor float64) []string {
 			continue
 		}
 		check := func(metric string, oldV, newV, slack float64) {
-			if limit := newV*factor + slack; oldV > limit {
+			if limit := newV*staleFactor + slack; oldV > limit {
 				failures = append(failures, fmt.Sprintf(
 					"%s: stale baseline, committed %s %.1f is more than %gx the fresh %.1f — rewrite the baseline",
-					keyString(key), metric, oldV, factor, newV))
+					keyString(key), metric, oldV, staleFactor, newV))
 			}
 		}
 		check("allocs_per_op", old.AllocsPerOp, cur.AllocsPerOp, allocSlack)

@@ -197,7 +197,7 @@ func TestStaleRowsFlagsOutdatedBaseline(t *testing.T) {
 		mkRow("LIC", 1000, 0, 100, 900, 9, nil),
 		mkRow("Sort", 1000, 0, 100, 0, 1, nil),
 	}
-	failures := staleRows(base, fresh, 2)
+	failures := staleRows(base, fresh)
 	if len(failures) != 2 {
 		t.Fatalf("expected allocs and bytes failures for PrefBuild only, got %v", failures)
 	}
@@ -206,7 +206,7 @@ func TestStaleRowsFlagsOutdatedBaseline(t *testing.T) {
 			t.Fatalf("unexpected failure %q", f)
 		}
 	}
-	if got := staleRows(base[1:3], fresh, 2); len(got) != 0 {
+	if got := staleRows(base[1:3], fresh); len(got) != 0 {
 		t.Fatalf("current baseline flagged stale: %v", got)
 	}
 }

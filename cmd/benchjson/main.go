@@ -17,18 +17,19 @@
 // Regression-gate mode: -compare old.json measures fresh rows and
 // gates them against the baseline file instead of writing output —
 // allocation figures within -tolerance percent, workload metrics
-// exactly equal (see compareRows) and, with -stale-factor, no
-// committed allocation figure more than that factor above the fresh
-// one (see staleRows). Non-zero exit on any regression; `make
+// exactly equal (see compareRows) and no committed allocation figure
+// more than twice the fresh one (see staleRows). Non-zero exit on any regression; `make
 // bench-check` wires this into CI.
 //
 // The ns/op column is reported only, never gated by `make
 // bench-check`: it depends on the hardware and on whatever else the
 // machine runs (single samples of unchanged code have moved more than
 // 2x between runs). Timing claims belong to perfbench/, which reports
-// medians over repeated runs with their spread. -quick drops the slowest tiers so the gate runs
-// in seconds; -workers-sweep measures the *Par rows at several worker
-// counts (their workload output must be identical at every count).
+// medians over repeated runs with their spread.
+//
+// -quick drops the slowest tiers so the gate runs in seconds;
+// -workers-sweep measures the *Par rows at several worker counts (their
+// workload output must be identical at every count).
 package main
 
 import (
@@ -367,7 +368,6 @@ func main() {
 	compare := flag.String("compare", "", "baseline JSON to gate fresh measurements against instead of writing -out; exits 1 on regression")
 	tolerance := flag.Float64("tolerance", 25, "allowed regression of allocs_per_op and b_per_op vs -compare, in percent")
 	nsTolerance := flag.Float64("ns-tolerance", 0, "allowed ns/op regression in percent; 0 (the default) reports wall clock without gating it, since it is hardware-dependent")
-	staleFactor := flag.Float64("stale-factor", 0, "with -compare, fail when a baseline row's allocs_per_op or b_per_op is more than this many times the fresh figure (0 = off)")
 	flag.Parse()
 
 	sweep, err := parseWorkersSweep(*sweepFlag)
@@ -394,9 +394,7 @@ func main() {
 			os.Exit(2)
 		}
 		failures, notes := compareRows(baseline.Rows, adjusted, *tolerance, *nsTolerance)
-		if *staleFactor > 0 {
-			failures = append(failures, staleRows(baseline.Rows, adjusted, *staleFactor)...)
-		}
+		failures = append(failures, staleRows(baseline.Rows, adjusted)...)
 		for _, n := range notes {
 			fmt.Printf("note: %s\n", n)
 		}

@@ -295,8 +295,12 @@ func (g *Graph) String() string {
 // loop or an out-of-range endpoint is recorded when it is added; an
 // AddEdge duplicate is detected only by Graph(), which sorts the
 // canonical edges and finds it next to its twin. All are reported by
-// Graph(). Generators that emit each pair once (GNP, dense GNM, the
-// deterministic families) therefore pay for no set at all.
+// Graph(), whose error counts them and names the first: self loops and
+// out-of-range edges in emission order, then deferred duplicates in
+// sorted edge order. So when an input has both kinds, the first error
+// named is an immediate one even if a duplicate was emitted before it.
+// Generators that emit each pair once (GNP, dense GNM, the
+// deterministic families) pay for no set at all.
 //
 // TryAddEdge and HasEdge need to know the edges added so far at the
 // moment of the call (random generators whose draw count depends on

@@ -254,6 +254,36 @@ func TestBuilderDeferredDuplicate(t *testing.T) {
 	}
 }
 
+// TestBuilderFirstErrorOrder pins which violation Graph()'s error
+// names first: immediate ones (self loop, out of range) in emission
+// order, then deferred AddEdge duplicates in sorted edge order, not in
+// the order they were emitted.
+func TestBuilderFirstErrorOrder(t *testing.T) {
+	b := NewBuilder(6)
+	b.AddEdge(3, 4)
+	b.AddEdge(4, 3) // deferred duplicate, emitted first
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 0) // deferred duplicate, sorts first
+	b.AddEdge(5, 5) // immediate
+	_, err := b.Graph()
+	if err == nil {
+		t.Fatal("Graph() accepted a self loop and duplicates")
+	}
+	if want := "graph: 3 invalid edge(s), first: graph: self loop at node 5"; err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
+	}
+
+	b = NewBuilder(6)
+	b.AddEdge(3, 4)
+	b.AddEdge(4, 3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 0)
+	_, err = b.Graph()
+	if want := "graph: 2 invalid edge(s), first: graph: duplicate edge (0,1)"; err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
+	}
+}
+
 // TestBuilderOnlineDedup: once TryAddEdge or HasEdge has built the
 // online set, it sees earlier AddEdge calls, and later AddEdge
 // duplicates are rejected (and not counted) at once.
